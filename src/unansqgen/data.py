@@ -267,8 +267,16 @@ def load_pairs(path):
             if len(parts) != 6:
                 raise DatasetError(f"{path}:{ln}: expected 6 tab-separated fields, got {len(parts)}")
             title, para, start, end, ans_q, unans_q = parts
-            pairs.append(AlignedPair(title, para.split(), int(start), int(end),
-                                     ans_q.split(), unans_q.split()))
+            tokens = para.split()
+            try:
+                start, end = int(start), int(end)
+            except ValueError:
+                raise DatasetError(f"{path}:{ln}: answer start {start!r} and end {end!r} "
+                                   f"must be integers") from None
+            if not 0 <= start < end <= len(tokens):
+                raise DatasetError(f"{path}:{ln}: answer span [{start}, {end}) invalid "
+                                   f"for {len(tokens)} paragraph tokens")
+            pairs.append(AlignedPair(title, tokens, start, end, ans_q.split(), unans_q.split()))
     return pairs
 
 

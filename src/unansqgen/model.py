@@ -357,9 +357,9 @@ class DecoderState:
 @dataclass
 class DecoderStepOutput:
     state: DecoderState
-    gate: Tensor  # [1,1], in (0,1)
-    p_vocab: Tensor  # [1,|V|], sums to 1
-    copy_attn: Tensor  # [1,Lc], sums to 1
+    gate: Tensor  # [k,1], in (0,1)
+    p_vocab: Tensor  # [k,|V|], rows sum to 1
+    copy_attn: Tensor  # [k,Lc], rows sum to 1
 
 
 def init_decoder(tape, params, enc):
@@ -378,6 +378,52 @@ def _cached_keys(tape, enc, name, states, weight):
     return enc.cache[name]
 
 
+def _rows(tape, tensors):
+    return tensors[0] if len(tensors) == 1 else tape.stack_rows(tensors)
+
+
+def decode_steps(tape, params, enc, state, prev_token_ids, drops=None):
+    """k teacher-forced decoder steps, one per id in `prev_token_ids`.
+
+    Only the recurrence runs step by step: the LSTM, the attention contexts
+    it feeds back, and the dropout on the output copy of each hidden state.
+    The word embeddings of all k previous ids are looked up at once, and the
+    output layer (vocabulary softmax, gate, copy attention) runs once over
+    the k stacked steps, since none of it feeds the recurrence. Row t of the
+    returned gate, p_vocab and copy_attn belongs to step t; the state is the
+    one after the last step.
+    """
+    k = len(prev_token_ids)
+    if k < 1:
+        raise ModelError("decode_steps: no previous token ids")
+    ys = tape.embedding(params["word_emb"], prev_token_ids)
+    hiddens, out_hiddens, step_contexts = [], [], []
+    for t in range(k):
+        y = ys if k == 1 else tape.slice_rows(ys, t, t + 1)
+        x = tape.concat_cols([y] + state.contexts)
+        hidden, cell = _lstm_step(tape, params, "dec", x, state.hidden, state.cell)
+        hiddens.append(hidden)
+        out_hiddens.append(_maybe_drop(tape, hidden, drops))
+        contexts = []
+        for j, states in enumerate(enc.attn_states):
+            keys = _cached_keys(tape, enc, f"attn_keys_{j}", states, params["attn_W"])
+            gamma = tape.row_softmax(tape.matmul(hidden, keys, transpose_b=True))
+            contexts.append(tape.matmul(gamma, states))
+        step_contexts.append(contexts)
+        state = DecoderState(hidden, cell, contexts)
+
+    features = tape.concat_cols([_rows(tape, out_hiddens)]
+                                + [_rows(tape, c) for c in zip(*step_contexts)])
+    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]),
+                                        params["out_b"]))
+    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]),
+                                 params["gate_b"]))
+    copy_keys = _cached_keys(tape, enc, "copy_keys", enc.copy_states, params["copy_W"])
+    copy_attn = tape.row_softmax(tape.matmul(_rows(tape, hiddens), copy_keys,
+                                             transpose_b=True))
+    return DecoderStepOutput(state, gate, p_vocab, copy_attn)
+
+
 def decode_step(tape, params, enc, state, prev_token_id, drops=None):
     """One decoder step conditioned on the previously produced token.
 
@@ -386,25 +432,7 @@ def decode_step(tape, params, enc, state, prev_token_id, drops=None):
     state. Dropout, when active, touches only the output-projection copy of
     the hidden state, never the recurrent carry.
     """
-    y = tape.embedding(params["word_emb"], [prev_token_id])
-    x = tape.concat_cols([y] + state.contexts)
-    hidden, cell = _lstm_step(tape, params, "dec", x, state.hidden, state.cell)
-    out_hidden = _maybe_drop(tape, hidden, drops)
-
-    contexts = []
-    for k, states in enumerate(enc.attn_states):
-        keys = _cached_keys(tape, enc, f"attn_keys_{k}", states, params["attn_W"])
-        gamma = tape.row_softmax(tape.matmul(hidden, keys, transpose_b=True))
-        contexts.append(tape.matmul(gamma, states))
-
-    features = tape.concat_cols([out_hidden] + contexts)
-    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]),
-                                        params["out_b"]))
-    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]),
-                                 params["gate_b"]))
-    copy_keys = _cached_keys(tape, enc, "copy_keys", enc.copy_states, params["copy_W"])
-    copy_attn = tape.row_softmax(tape.matmul(hidden, copy_keys, transpose_b=True))
-    return DecoderStepOutput(DecoderState(hidden, cell, contexts), gate, p_vocab, copy_attn)
+    return decode_steps(tape, params, enc, state, [prev_token_id], drops=drops)
 
 
 def extended_vocab(enc, vocab):

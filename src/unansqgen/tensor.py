@@ -13,6 +13,7 @@ not change in place while a tape that has read it is still recording.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import struct
@@ -572,29 +573,43 @@ def save_checkpoint(path, named_tensors):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as an ordered {name: float64 array} mapping."""
+    """Read a checkpoint back as an ordered {name: float64 array} mapping.
+
+    Every read is bounds-checked: a truncated or corrupt file raises
+    CheckpointError, never a struct or buffer error.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 8)
+    offset = 8
+
+    def take(n, what):
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise CheckpointError(f"{path}: truncated in {what} at byte {offset} "
+                                  f"(needs {n} more bytes, {len(blob) - offset} left)")
+        offset += n
+        return offset - n
+
+    version, count = struct.unpack_from("<II", blob, take(8, "the header"))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: checkpoint format version {version}, this build reads version {CHECKPOINT_VERSION}")
-    offset = 16
     out = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
-        offset += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        values = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).astype(np.float64)
-        offset += 8 * size
+    for k in range(count):
+        what = f"record {k + 1} of {count}"
+        (name_len,) = struct.unpack_from("<I", blob, take(4, what))
+        start = take(name_len, what)
+        try:
+            name = blob[start:start + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} has a name that is not UTF-8") from None
+        (ndim,) = struct.unpack_from("<I", blob, take(4, what))
+        shape = struct.unpack_from(f"<{ndim}Q", blob, take(8 * ndim, what))
+        size = math.prod(shape)
+        start = take(8 * size, what)
+        values = np.frombuffer(blob, dtype="<f8", count=size, offset=start).astype(np.float64)
         out[name] = values.reshape(shape)
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after the last record")

@@ -9,8 +9,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import text
-from .model import (DropStream, ModelParams, encode_input, decode_step,
+from .model import (DropStream, ModelParams, encode_input, decode_steps,
                     init_decoder, load_pretrained_vectors)
+from .model import decode_step  # noqa: F401  perfbench/tracing.py patches train.decode_step
 from .tensor import Tape, Tensor, TapeError, backward
 
 
@@ -62,28 +63,28 @@ def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=50, drops=None
     if truncated:
         targets = targets[:max_len - 1]
     targets.append(text.EOS)
+    prev_ids = [text.BOS_ID] + [vocab.id(tok) for tok in targets[:-1]]
 
-    one = Tensor(np.ones((1, 1)))
-    eps = Tensor(np.full((1, 1), 1e-12))
     state = init_decoder(tape, params, enc)
-    prev_id = text.BOS_ID
-    log_terms = []
-    for tok in targets:
-        step = decode_step(tape, params, enc, state, prev_id, drops=drops)
-        state = step.state
-        inv_gate = tape.add(one, tape.scale(step.gate, -1.0))
-        indicator = np.array([[1.0] if t == tok else [0.0] for t in enc.copy_tokens])
-        copy_mass = tape.matmul(step.copy_attn, Tensor(indicator))
+    out = decode_steps(tape, params, enc, state, prev_ids, drops=drops)
+    # Gold probabilities are read through constant masks: row t of `onehot`
+    # and `indicator` marks target t in the vocabulary and among the copy
+    # positions. An out-of-vocabulary target has an all-zero onehot row, so
+    # it is credited with its copy mass only.
+    onehot = np.zeros((len(targets), len(vocab)))
+    indicator = np.zeros((len(targets), len(enc.copy_tokens)))
+    for t, tok in enumerate(targets):
         if tok in vocab:
-            onehot = np.zeros((len(vocab), 1))
-            onehot[vocab.id(tok), 0] = 1.0
-            vocab_mass = tape.matmul(step.p_vocab, Tensor(onehot))
-            prob = tape.add(tape.mul(step.gate, vocab_mass), tape.mul(inv_gate, copy_mass))
-        else:
-            prob = tape.mul(inv_gate, copy_mass)
-        log_terms.append(tape.log(tape.add(prob, eps)))
-        prev_id = vocab.id(tok)
-    loss = tape.scale(tape.sum(tape.stack_rows(log_terms)), -1.0)
+            onehot[t, vocab.id(tok)] = 1.0
+        indicator[t] = [source_tok == tok for source_tok in enc.copy_tokens]
+    vocab_mass = tape.matmul(tape.mul(out.p_vocab, Tensor(onehot)),
+                             Tensor(np.ones((len(vocab), 1))))
+    copy_mass = tape.matmul(tape.mul(out.copy_attn, Tensor(indicator)),
+                            Tensor(np.ones((len(enc.copy_tokens), 1))))
+    inv_gate = tape.add(Tensor(np.ones((1, 1))), tape.scale(out.gate, -1.0))
+    prob = tape.add(tape.mul(out.gate, vocab_mass), tape.mul(inv_gate, copy_mass))
+    log_terms = tape.log(tape.add(prob, Tensor(np.full((1, 1), 1e-12))))
+    loss = tape.scale(tape.sum(log_terms), -1.0)
     return loss, len(targets), truncated
 
 
@@ -95,6 +96,9 @@ class AdagradState:
         self.skipped = 0
 
 
+_BLOCK = 1 << 16  # elements per slice of an Adagrad update
+
+
 def adagrad_step(params, grads, state, lr=0.15, clip=5.0):
     """One Adagrad update from batch-averaged gradients.
 
@@ -102,6 +106,10 @@ def adagrad_step(params, grads, state, lr=0.15, clip=5.0):
     accumulator grows by g^2 and the parameter moves by lr * g / sqrt(acc).
     A non-finite gradient skips the whole step (counted). Returns whether
     the step was applied.
+
+    The update runs over each tensor in slices of about `_BLOCK` elements,
+    so its temporaries stay small; every operation is elementwise, so the
+    slicing does not change a bit. The gradient arrays are not modified.
     """
     if any(not np.isfinite(g).all() for g in grads.values()):
         state.skipped += 1
@@ -109,10 +117,12 @@ def adagrad_step(params, grads, state, lr=0.15, clip=5.0):
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     scale = clip / norm if clip is not None and norm > clip else 1.0
     for name, g in grads.items():
-        g = g * scale
-        acc = state.acc[name]
-        acc += g * g
-        params[name].data -= lr * g / np.sqrt(acc)
+        rows = max(1, _BLOCK * len(g) // max(1, g.size))
+        for lo in range(0, len(g), rows):
+            g_block = g[lo:lo + rows] * scale
+            acc = state.acc[name][lo:lo + rows]
+            acc += g_block * g_block
+            params[name].data[lo:lo + rows] -= lr * g_block / np.sqrt(acc)
     return True
 
 
@@ -162,6 +172,9 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
     Returns (params holding the best arrays, per-epoch history). Batch
     gradients are per-example sums averaged over the batch; examples are
     re-shuffled each epoch and length-bucketed for padding-free batches.
+    Each history entry holds epoch, train_loss, holdout_ppl, seconds and
+    skipped_steps, the optimizer steps skipped that epoch for a non-finite
+    gradient.
     """
     config.validate()
     if not train_pairs:
@@ -185,6 +198,7 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
         order = rng.permutation(len(train_pairs))
         epoch_loss = 0.0
         n_examples = 0
+        skipped_before = opt.skipped
         for bi, batch in enumerate(_bucketed_batches(order, train_pairs, config.batch_size,
                                                      config.bucket_window, rng)):
             grad_sum = {}
@@ -207,19 +221,22 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
                     n_examples += 1
             except TapeError as exc:
                 raise TrainingError(f"epoch {epoch} batch {bi}: {exc}") from None
-            averaged = {name: g / len(batch) for name, g in grad_sum.items()}
-            adagrad_step(params, averaged, opt, config.learning_rate, config.clip_norm)
+            for g in grad_sum.values():
+                g /= len(batch)
+            adagrad_step(params, grad_sum, opt, config.learning_rate, config.clip_norm)
         ppl = perplexity(params, holdout_pairs, vocab, config.max_target_len)
         entry = {
             "epoch": epoch,
             "train_loss": epoch_loss / max(1, n_examples),
             "holdout_ppl": ppl,
             "seconds": time.monotonic() - started,
+            "skipped_steps": opt.skipped - skipped_before,
         }
         history.append(entry)
         if log is not None:
             log(f"epoch {entry['epoch']} loss {entry['train_loss']:.4f} "
-                f"holdout_ppl {entry['holdout_ppl']:.4f} time {entry['seconds']:.1f}s")
+                f"holdout_ppl {entry['holdout_ppl']:.4f} time {entry['seconds']:.1f}s "
+                f"skipped_steps {entry['skipped_steps']}")
         if ppl < best_ppl:
             best_ppl = ppl
             best_arrays = params.copy_arrays()

@@ -223,6 +223,22 @@ def test_empty_corpus_yields_valid_empty_outputs(tmp_path, capsys):
     assert len(text.load_vocab(tmp_path / "v")) == len(text.SPECIAL_TOKENS)
 
 
+@pytest.mark.parametrize("keep", [12, 40, -4])
+def test_generate_truncated_checkpoint_is_one_error_line(pipeline, tmp_path, capsys, keep):
+    blob = open(pipeline["ckpt"], "rb").read()
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(blob[:keep])
+    (tmp_path / "cut.ckpt.json").write_bytes(open(pipeline["ckpt"] + ".json", "rb").read())
+    out = tmp_path / "g"
+    rc = main(["generate", "--checkpoint", str(ckpt), "--vocab", pipeline["vocab"],
+               "--input", pipeline["pairs"], "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "truncated" in err
+    assert not out.exists()
+
+
 def test_generate_vocab_size_mismatch(pipeline, tmp_path, capsys):
     other = text.Vocab(["only", "three", "tokens"])
     path = tmp_path / "other_vocab.txt"

@@ -372,6 +372,24 @@ def test_pair_file_cleans_title_whitespace(tmp_path):
     assert load_pairs(path)[0].title == "Tab here"
 
 
+@pytest.mark.parametrize("start, end", [
+    ("x", "2"),  # start not an integer
+    ("1", "2.5"),  # end not an integer
+    ("-1", "2"),  # start before the paragraph
+    ("2", "2"),  # empty span
+    ("2", "1"),  # end before start
+    ("1", "4"),  # end past the last of three tokens
+])
+def test_load_pairs_rejects_bad_answer_span(tmp_path, start, end):
+    path = tmp_path / "bad.tsv"
+    good = "t\talpha beta gamma\t0\t1\twhat ?\twhy ?\n"
+    path.write_text(good + f"t\talpha beta gamma\t{start}\t{end}\twhat ?\twhy ?\n",
+                    encoding="utf-8")
+    with pytest.raises(DatasetError) as exc:
+        load_pairs(path)
+    assert str(exc.value).startswith(f"{path}:2: ")
+
+
 def test_load_pairs_rejects_bad_field_count(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("only\tthree\tfields\n", encoding="utf-8")

@@ -517,3 +517,25 @@ def test_checkpoint_trailing_bytes(tmp_path):
     p.write_bytes(p.read_bytes() + b"x")
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("keep", [0, 5, 12, 16, 20, 40, -9, -4, -1])
+def test_checkpoint_truncated_raises_checkpoint_error(tmp_path, keep):
+    p = tmp_path / "cut.ckpt"
+    save_checkpoint(p, {"weights": Tensor(np.arange(6.0).reshape(2, 3)),
+                        "bias": Tensor(np.ones((1, 3)))})
+    blob = p.read_bytes()
+    p.write_bytes(blob[:keep % len(blob)] if keep else b"")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_name_not_utf8(tmp_path):
+    p = tmp_path / "name.ckpt"
+    save_checkpoint(p, {"ab": Tensor([1.0])})
+    blob = bytearray(p.read_bytes())
+    blob[20] = 0xFF  # first byte of the first record's name
+    p.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(p)
+    assert "UTF-8" in str(exc.value)

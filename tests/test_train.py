@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from unansqgen import train as train_module
 from unansqgen.data import AlignedPair
-from unansqgen.model import ModelParams, decode_step, encode_input, final_distribution, init_decoder
-from unansqgen.tensor import Tape
+from unansqgen.model import (DropStream, ModelParams, decode_step, encode_input,
+                             final_distribution, init_decoder)
+from unansqgen.tensor import Tape, Tensor, backward
 from unansqgen.text import BOS_ID, EOS, Vocab
 from unansqgen.train import (
     AdagradState,
@@ -99,6 +101,61 @@ def test_sequence_nll_matches_final_distribution():
         assert steps == 4 and not truncated
         want = teacher_forced_nll(params, vocab, pair, pair.unanswerable_tokens)
         assert float(loss.data) == pytest.approx(want, rel=1e-9)
+
+
+def per_step_nll(tape, params, enc, vocab, target_tokens, drops=None):
+    """The loss built one decoder step at a time: a decode_step per target,
+    then the gold probability through a V x 1 one-hot matmul and an Lc x 1
+    copy-indicator matmul."""
+    one = Tensor(np.ones((1, 1)))
+    eps = Tensor(np.full((1, 1), 1e-12))
+    state = init_decoder(tape, params, enc)
+    prev_id = BOS_ID
+    log_terms = []
+    for tok in list(target_tokens) + [EOS]:
+        step = decode_step(tape, params, enc, state, prev_id, drops=drops)
+        state = step.state
+        inv_gate = tape.add(one, tape.scale(step.gate, -1.0))
+        indicator = np.array([[1.0] if t == tok else [0.0] for t in enc.copy_tokens])
+        copy_mass = tape.matmul(step.copy_attn, Tensor(indicator))
+        if tok in vocab:
+            onehot = np.zeros((len(vocab), 1))
+            onehot[vocab.id(tok), 0] = 1.0
+            vocab_mass = tape.matmul(step.p_vocab, Tensor(onehot))
+            prob = tape.add(tape.mul(step.gate, vocab_mass), tape.mul(inv_gate, copy_mass))
+        else:
+            prob = tape.mul(inv_gate, copy_mass)
+        log_terms.append(tape.log(tape.add(prob, eps)))
+        prev_id = vocab.id(tok)
+    return tape.scale(tape.sum(tape.stack_rows(log_terms)), -1.0)
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_sequence_nll_equals_per_step_reference(mode):
+    # "bb" is in the vocabulary and in the source, "zz" is an OOV source
+    # token, "yy" is OOV and nowhere in the source; dropout is on, so the
+    # mask order of the encoder and of every decoder step is checked too
+    vocab = toy_vocab()
+    params = small_params(mode)
+    name_of = {id(t): name for name, t in params.items()}
+    pair = make_pair(["aa", "bb", "zz", "cc"], 1, 3, ["dd", "aa"], ["bb", "zz", "yy", "ee"])
+
+    def loss_and_grads(build):
+        tape = Tape()
+        drops = DropStream((13, 1, 0), 0.8)
+        enc = encode_input(tape, params, vocab, pair.paragraph_tokens, pair.answer_start,
+                           pair.answer_end, pair.answerable_tokens, drops=drops)
+        loss = build(tape, enc, drops)
+        return float(loss.data), {name_of[id(t)]: g for t, g in backward(loss, tape).items()}
+
+    got, got_grads = loss_and_grads(lambda tape, enc, drops: sequence_nll(
+        tape, params, enc, vocab, pair.unanswerable_tokens, drops=drops)[0])
+    want, want_grads = loss_and_grads(lambda tape, enc, drops: per_step_nll(
+        tape, params, enc, vocab, pair.unanswerable_tokens, drops=drops))
+    assert got == pytest.approx(want, rel=1e-9)
+    assert set(got_grads) == set(want_grads) == set(params.tensors)
+    for name, g in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], g, rtol=1e-9, err_msg=name)
 
 
 def test_sequence_nll_oov_target_gets_copy_mass_only():
@@ -250,6 +307,39 @@ def test_adagrad_accumulators_nondecreasing():
             prev[n] = a.copy()
 
 
+def adagrad_step_by_formula(params, grads, state, lr, clip):
+    """The update written with whole-tensor temporaries."""
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    scale = clip / norm if clip is not None and norm > clip else 1.0
+    for name, g in grads.items():
+        g = g * scale
+        acc = state.acc[name]
+        acc += g * g
+        params[name].data -= lr * g / np.sqrt(acc)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_adagrad_equals_formula_bit_for_bit(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(train_module, "_BLOCK", block)
+    rng = np.random.default_rng(12)
+    # at vocab_size 12000, word_emb and out_W span more than one default block
+    params_a = small_params(vocab_size=12000)
+    params_b = small_params(vocab_size=12000)
+    shapes = {n: t.data.shape for n, t in params_a.items()}
+    state_a, state_b = AdagradState(params_a), AdagradState(params_b)
+    for _ in range(2):
+        grads = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+        before = {n: g.copy() for n, g in grads.items()}
+        assert math.sqrt(sum(float((g * g).sum()) for g in grads.values())) > 5.0
+        assert adagrad_step(params_a, grads, state_a, lr=0.15, clip=5.0)
+        adagrad_step_by_formula(params_b, grads, state_b, lr=0.15, clip=5.0)
+        for n in shapes:
+            np.testing.assert_array_equal(grads[n], before[n])
+            np.testing.assert_array_equal(state_a.acc[n], state_b.acc[n])
+            np.testing.assert_array_equal(params_a[n].data, params_b[n].data)
+
+
 # perplexity
 
 
@@ -345,11 +435,39 @@ def test_train_history_and_best_selection():
     params, history = train(small_config(epochs=3), pairs, holdout, vocab,
                             log=lines.append)
     assert len(history) == 3 and len(lines) == 3
-    assert all(set(h) == {"epoch", "train_loss", "holdout_ppl", "seconds"}
+    assert all(set(h) == {"epoch", "train_loss", "holdout_ppl", "seconds", "skipped_steps"}
                for h in history)
     best = min(h["holdout_ppl"] for h in history)
     # returned parameters are the best epoch's snapshot, not the last epoch's
     assert perplexity(params, holdout, vocab) == pytest.approx(best, rel=1e-12)
+
+
+def test_train_reports_no_skipped_steps_on_a_normal_run():
+    vocab = toy_vocab()
+    pairs, holdout = toy_corpus()
+    lines = []
+    _, history = train(small_config(), pairs, holdout, vocab, log=lines.append)
+    assert [h["skipped_steps"] for h in history] == [0, 0]
+    assert all(line.endswith(" skipped_steps 0") for line in lines)
+
+
+def test_train_counts_skipped_steps_per_epoch(monkeypatch):
+    # the first optimizer step sees a NaN gradient; later steps are clean
+    vocab = toy_vocab()
+    pairs, holdout = toy_corpus()
+    real_step = train_module.adagrad_step
+    calls = []
+
+    def first_step_poisoned(params, grads, state, *args):
+        calls.append(1)
+        if len(calls) == 1:
+            grads = {name: np.full_like(g, np.nan) for name, g in grads.items()}
+        return real_step(params, grads, state, *args)
+
+    monkeypatch.setattr(train_module, "adagrad_step", first_step_poisoned)
+    _, history = train(small_config(), pairs, holdout, vocab)
+    assert len(calls) == 4  # two batches per epoch
+    assert [h["skipped_steps"] for h in history] == [1, 0]
 
 
 def test_train_determinism_bit_identical():
