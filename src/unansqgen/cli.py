@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import data, decode, metrics, text
+from .fileio import atomic_write
 from .model import ModelParams, encode_input
 from .tensor import Tape, grad_check
 from .train import TrainConfig, TrainingError, config_summary, sequence_nll, train
@@ -20,7 +20,7 @@ _OPTIONS = {
               "lr": (float, 0.15), "dropout": (float, 0.2), "clip": (float, 5.0),
               "seed": (int, 13), "dims_override": (str, None), "max_target_len": (int, 50)},
     "generate": {"mode": (str, None), "beam": (int, 5), "nbest": (int, 1),
-                 "max_len": (int, 50), "seed": (int, 13)},
+                 "max_len": (int, 50)},
     "evaluate": {},
     "augment": {},
     "gradcheck": {"mode": (str, "seq2seq"), "dims_override": (str, "8/4"),
@@ -82,46 +82,26 @@ def _parse_dims(value):
     return word, hidden
 
 
-class _OutputGuard:
-    """Removes the declared output paths when the command fails mid-write."""
-
-    def __init__(self, paths):
-        self.paths = [p for p in paths if p]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            for p in self.paths:
-                try:
-                    os.remove(p)
-                except OSError:
-                    pass
-        return False
-
-
 def cmd_align(args):
-    with _OutputGuard([args.out_pairs, args.out_holdout, args.out_vocab]):
-        records = []
-        dropped = 0
-        vocab_corpus = []
-        for i, path in enumerate(args.squad):
-            result = data.parse_squad(path)
-            records.extend(result.records)
-            dropped += result.dropped_records
-            if i == 0:
-                for rec in result.records:
-                    vocab_corpus.append(text.tokenize(rec.context))
-                    for qa in rec.qas:
-                        vocab_corpus.append(text.tokenize(qa.question))
-        pairs, stats = data.align_pairs(records)
-        train_pairs, holdout_pairs = data.split_holdout(pairs, args.seed,
-                                                        fraction=args.holdout_fraction)
-        vocab = text.build_vocab(vocab_corpus, min_frequency=args.min_count)
-        data.save_pairs(args.out_pairs, train_pairs)
-        data.save_pairs(args.out_holdout, holdout_pairs)
-        text.save_vocab(args.out_vocab, vocab)
+    records = []
+    dropped = 0
+    vocab_corpus = []
+    for i, path in enumerate(args.squad):
+        result = data.parse_squad(path)
+        records.extend(result.records)
+        dropped += result.dropped_records
+        if i == 0:
+            for rec in result.records:
+                vocab_corpus.append(text.tokenize(rec.context))
+                for qa in rec.qas:
+                    vocab_corpus.append(text.tokenize(qa.question))
+    pairs, stats = data.align_pairs(records)
+    train_pairs, holdout_pairs = data.split_holdout(pairs, args.seed,
+                                                    fraction=args.holdout_fraction)
+    vocab = text.build_vocab(vocab_corpus, min_frequency=args.min_count)
+    data.save_pairs(args.out_pairs, train_pairs)
+    data.save_pairs(args.out_holdout, holdout_pairs)
+    text.save_vocab(args.out_vocab, vocab)
     mean_distance = (sum(p.distance for p in pairs) / len(pairs)) if pairs else 0.0
     print(f"pairs={len(pairs)}")
     print(f"mean_distance={mean_distance:.4f}")
@@ -145,10 +125,9 @@ def cmd_train(args):
                          pretrained_path=args.pretrained)
     if dims is not None:
         config.word_dim, config.enc_hidden = dims
-    with _OutputGuard([args.out, str(args.out) + ".json"]):
-        params, history = train(config, pairs, holdout, vocab, log=print)
-        params.save(args.out, extra={"vocab_size": len(vocab),
-                                     "train_config": config_summary(config)})
+    params, history = train(config, pairs, holdout, vocab, log=print)
+    params.save(args.out, extra={"vocab_size": len(vocab),
+                                 "train_config": config_summary(config)})
     best = min(h["holdout_ppl"] for h in history)
     print(f"best_holdout_ppl={best:.4f}")
     return 0
@@ -207,16 +186,15 @@ def cmd_generate(args):
         inputs, skipped_spans = _pairs_generation_inputs(args.input)
     rows = []
     filtered_out = 0
-    with _OutputGuard([args.out]):
-        for qid, pair in inputs:
-            hyps = decode.generate_for_example(params, vocab, pair, beam_size=args.beam,
-                                               max_len=args.max_len, nbest=args.nbest)
-            if not hyps:
-                filtered_out += 1
-                continue
-            for h in hyps:
-                rows.append((qid, h.surface(), h.score))
-        decode.save_generations(args.out, rows)
+    for qid, pair in inputs:
+        hyps = decode.generate_for_example(params, vocab, pair, beam_size=args.beam,
+                                           max_len=args.max_len, nbest=args.nbest)
+        if not hyps:
+            filtered_out += 1
+            continue
+        for h in hyps:
+            rows.append((qid, h.surface(), h.score))
+    decode.save_generations(args.out, rows)
     print(f"inputs={len(inputs)}")
     print(f"generations={len(rows)}")
     print(f"filtered_empty={filtered_out}")
@@ -254,9 +232,8 @@ def cmd_evaluate(args):
     report = metrics.format_report(metrics.metric_report(triples))
     sys.stdout.write(report)
     if args.out:
-        with _OutputGuard([args.out]):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report)
+        with atomic_write(args.out) as fh:
+            fh.write(report)
     return 0
 
 
@@ -276,8 +253,7 @@ def cmd_augment(args):
             continue
         rec, qa = index[qid]
         generated.append((rec, qa, tokens))
-    with _OutputGuard([args.out]):
-        result = data.build_augmentation(generated, args.out)
+    result = data.build_augmentation(generated, args.out)
     print(f"written={result.written}")
     print(f"skipped={result.skipped}")
     print(f"unmatched={unmatched}")
@@ -376,7 +352,6 @@ def _build_parser():
     p.add_argument("--beam", type=int)
     p.add_argument("--nbest", type=int)
     p.add_argument("--max-len", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--config")
 
     p = sub.add_parser("evaluate", help="score generations against references")

@@ -6,6 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .fileio import atomic_write
 from .text import tokenize, tokenize_with_spans
 
 PARAGRAPH_TOKEN_CAP = 300
@@ -95,10 +96,18 @@ def parse_squad(path):
                     raise DatasetError(f"{qwhere}: missing 'id' or 'question'")
                 impossible = bool(qa.get("is_impossible", False))
                 raw = qa.get("plausible_answers" if impossible else "answers", []) or []
+                if type(raw) is not list:
+                    raise DatasetError(f"{qwhere} (id {qa['id']!r}): answers must be a list")
                 spans = []
                 ok = True
                 for ans in raw:
+                    if type(ans) is not dict:
+                        raise DatasetError(f"{qwhere} (id {qa['id']!r}): an answer must be "
+                                           f"an object, got {type(ans).__name__}")
                     text, start = ans.get("text", ""), ans.get("answer_start", -1)
+                    if type(text) is not str or type(start) is not int:
+                        raise DatasetError(f"{qwhere} (id {qa['id']!r}): an answer needs a "
+                                           f"'text' string and an integer 'answer_start'")
                     if context[start:start + len(text)] != text or start < 0:
                         ok = False
                         break
@@ -244,7 +253,7 @@ def _clean_field(value):
 
 def save_pairs(path, pairs):
     """Tab-separated pair records, tokens space-joined, UTF-8."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in pairs:
             fh.write("\t".join([
                 _clean_field(p.title),
@@ -332,7 +341,7 @@ def build_augmentation(generated, out_path):
         "version": "v2.0",
         "data": [{"title": t, "paragraphs": by_title[t]} for t in title_order],
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with atomic_write(out_path) as fh:
         json.dump(doc, fh, ensure_ascii=True, sort_keys=True, indent=1)
         fh.write("\n")
     return AugmentationResult(written, skipped)

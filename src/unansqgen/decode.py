@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import text
-from .model import (decode_step, encode_input, extended_vocab,
+from .fileio import atomic_write
+from .model import (DecoderState, decode_step, encode_input, extended_vocab,
                     final_distribution, init_decoder)
 from .tensor import Tape
 
@@ -16,7 +17,9 @@ from .tensor import Tape
 @dataclass
 class BeamHypothesis:
     """One partial or finished decode. `tokens` are surface forms; a
-    finished hypothesis ends with the EOS surface."""
+    finished hypothesis ends with the EOS surface. `state` is the row, in
+    the decoder state returned by the beam step that made this hypothesis,
+    that it continues from (its parent's row)."""
     tokens: list
     score: float
     state: object
@@ -39,47 +42,62 @@ def _ranked(hypotheses, length_penalty):
     return sorted(hypotheses, key=key)
 
 
+def _top_k(flat, k):
+    """Indices of the k largest entries, equal to np.argsort(-flat, kind="stable")[:k].
+
+    Only the entries at least as large as the k-th largest (ties included)
+    are sorted, so equal values still come out in index order.
+    """
+    if k >= flat.size:
+        return np.argsort(-flat, kind="stable")
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    candidates = np.flatnonzero(flat >= kth)
+    return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
+
+
+def _gather_rows(tape, state, rows):
+    """The decoder state whose row i is row `rows[i]` of `state`."""
+    def take(t):
+        return tape.embedding(t, rows)
+    return DecoderState(take(state.hidden), take(state.cell), [take(c) for c in state.contexts])
+
+
 def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50, length_penalty=0.0):
     """Ranked hypotheses for one encoded input.
 
     Standard beam expansion over the final mixture distribution with the
     UNK entry suppressed to -inf; hypotheses retire when they emit EOS.
-    Candidate ties break toward the lower token index within a parent.
-    Without a length penalty the ranking is raw total log-probability. If
-    nothing finishes within max_len, the surviving partial hypotheses are
-    returned (finished=False).
+    Each step advances all live hypotheses at once, as the rows of one
+    decoder state. Candidate ties break toward the earlier parent, then the
+    lower token index. Without a length penalty the ranking is raw total
+    log-probability. If nothing finishes within max_len, the surviving
+    partial hypotheses are returned (finished=False).
     """
     if beam_size < 1:
         raise ValueError(f"beam_search: beam_size must be >= 1, got {beam_size}")
     extended = extended_vocab(enc, vocab)[0]
     width = len(vocab) + len(extended)
-    beams = [BeamHypothesis([], 0.0, init_decoder(tape, params, enc), text.BOS_ID)]
+    state = init_decoder(tape, params, enc)
+    beams = [BeamHypothesis([], 0.0, 0, text.BOS_ID)]
     finished = []
     for _ in range(max_len):
         if not beams or len(finished) >= beam_size:
             break
-        scores = np.full((len(beams), width), -np.inf)
-        next_states = []
-        for bi, hyp in enumerate(beams):
-            step = decode_step(tape, params, enc, hyp.state, hyp.prev_id)
-            next_states.append(step.state)
-            dist, _ = final_distribution(step, enc, vocab)
-            with np.errstate(divide="ignore"):
-                logp = np.log(dist)
-            logp[text.UNK_ID] = -np.inf
-            scores[bi] = hyp.score + logp
-        flat = scores.ravel()
-        # stable sort on the flattened (parent, token) grid: ties resolve to
-        # the earlier parent, then the lower token index
-        order = np.argsort(-flat, kind="stable")
+        state = _gather_rows(tape, state, [h.state for h in beams])
+        step = decode_step(tape, params, enc, state, [h.prev_id for h in beams])
+        state = step.state
+        dist, _ = final_distribution(step, enc, vocab)
+        with np.errstate(divide="ignore"):
+            logp = np.log(dist.reshape(len(beams), width))
+        logp[:, text.UNK_ID] = -np.inf
+        flat = (np.array([[h.score] for h in beams]) + logp).ravel()
         new_beams = []
-        for slot in order[:beam_size]:
+        for slot in _top_k(flat, beam_size):
             if not math.isfinite(flat[slot]):
                 break
             parent, idx = divmod(int(slot), width)
             surface = vocab.token(idx) if idx < len(vocab) else extended[idx - len(vocab)]
-            hyp = BeamHypothesis(beams[parent].tokens + [surface], float(flat[slot]),
-                                 next_states[parent],
+            hyp = BeamHypothesis(beams[parent].tokens + [surface], float(flat[slot]), parent,
                                  idx if idx < len(vocab) else text.UNK_ID)
             if idx == text.EOS_ID:
                 hyp.finished = True
@@ -162,7 +180,7 @@ def generate_for_example(params, vocab, pair, beam_size=5, max_len=50, nbest=1):
 
 def save_generations(path, rows):
     """One record per generation: id, space-joined tokens, total log-probability."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for qid, tokens, score in rows:
             fh.write(f"{qid}\t{' '.join(tokens)}\t{score:.6f}\n")
 

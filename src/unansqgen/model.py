@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import text
+from .fileio import atomic_write
 from .tensor import (CHECKPOINT_VERSION, Tape, Tensor, load_checkpoint,
                      parameter, save_checkpoint)
 
@@ -139,7 +140,7 @@ class ModelParams:
             "model": self.config(),
             "extra": extra or {},
         }
-        with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+        with atomic_write(str(path) + ".json") as fh:
             json.dump(sidecar, fh, sort_keys=True, indent=1)
             fh.write("\n")
 
@@ -357,9 +358,9 @@ class DecoderState:
 @dataclass
 class DecoderStepOutput:
     state: DecoderState
-    gate: Tensor  # [k,1], in (0,1)
-    p_vocab: Tensor  # [k,|V|], rows sum to 1
-    copy_attn: Tensor  # [k,Lc], rows sum to 1
+    gate: Tensor  # [rows,1], in (0,1)
+    p_vocab: Tensor  # [rows,|V|], rows sum to 1
+    copy_attn: Tensor  # [rows,Lc], rows sum to 1
 
 
 def init_decoder(tape, params, enc):
@@ -382,13 +383,45 @@ def _rows(tape, tensors):
     return tensors[0] if len(tensors) == 1 else tape.stack_rows(tensors)
 
 
-def decode_steps(tape, params, enc, state, prev_token_ids, drops=None):
-    """k teacher-forced decoder steps, one per id in `prev_token_ids`.
+def _step(tape, params, enc, state, y, drops):
+    """The recurrence of one decoder step over the rows of `state`.
 
-    Only the recurrence runs step by step: the LSTM, the attention contexts
-    it feeds back, and the dropout on the output copy of each hidden state.
-    The word embeddings of all k previous ids are looked up at once, and the
-    output layer (vocabulary softmax, gate, copy attention) runs once over
+    Row r of `y` is the word embedding of row r's previous token. The LSTM
+    reads [y; previous context(s)]; attention is bilinear in the new hidden
+    state. Returns the new state and the output-layer copy of its hidden
+    state, the only one that dropout touches (never the recurrent carry).
+    """
+    x = tape.concat_cols([y] + state.contexts)
+    hidden, cell = _lstm_step(tape, params, "dec", x, state.hidden, state.cell)
+    out_hidden = _maybe_drop(tape, hidden, drops)
+    contexts = []
+    for j, states in enumerate(enc.attn_states):
+        keys = _cached_keys(tape, enc, f"attn_keys_{j}", states, params["attn_W"])
+        gamma = tape.row_softmax(tape.matmul(hidden, keys, transpose_b=True))
+        contexts.append(tape.matmul(gamma, states))
+    return DecoderState(hidden, cell, contexts), out_hidden
+
+
+def _output_layer(tape, params, enc, states, out_hiddens):
+    """Vocabulary softmax, copy gate and copy attention over the stacked rows
+    of `states` (one per step); the returned state is the last one."""
+    features = tape.concat_cols([_rows(tape, out_hiddens)]
+                                + [_rows(tape, c) for c in zip(*(s.contexts for s in states))])
+    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]),
+                                        params["out_b"]))
+    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]),
+                                 params["gate_b"]))
+    copy_keys = _cached_keys(tape, enc, "copy_keys", enc.copy_states, params["copy_W"])
+    copy_attn = tape.row_softmax(tape.matmul(_rows(tape, [s.hidden for s in states]),
+                                             copy_keys, transpose_b=True))
+    return DecoderStepOutput(states[-1], gate, p_vocab, copy_attn)
+
+
+def decode_steps(tape, params, enc, state, prev_token_ids, drops=None):
+    """k teacher-forced decoder steps of one row, one per id in `prev_token_ids`.
+
+    Only the recurrence runs step by step. The word embeddings of all k
+    previous ids are looked up at once, and the output layer runs once over
     the k stacked steps, since none of it feeds the recurrence. Row t of the
     returned gate, p_vocab and copy_attn belongs to step t; the state is the
     one after the last step.
@@ -397,42 +430,26 @@ def decode_steps(tape, params, enc, state, prev_token_ids, drops=None):
     if k < 1:
         raise ModelError("decode_steps: no previous token ids")
     ys = tape.embedding(params["word_emb"], prev_token_ids)
-    hiddens, out_hiddens, step_contexts = [], [], []
+    states, out_hiddens = [], []
     for t in range(k):
         y = ys if k == 1 else tape.slice_rows(ys, t, t + 1)
-        x = tape.concat_cols([y] + state.contexts)
-        hidden, cell = _lstm_step(tape, params, "dec", x, state.hidden, state.cell)
-        hiddens.append(hidden)
-        out_hiddens.append(_maybe_drop(tape, hidden, drops))
-        contexts = []
-        for j, states in enumerate(enc.attn_states):
-            keys = _cached_keys(tape, enc, f"attn_keys_{j}", states, params["attn_W"])
-            gamma = tape.row_softmax(tape.matmul(hidden, keys, transpose_b=True))
-            contexts.append(tape.matmul(gamma, states))
-        step_contexts.append(contexts)
-        state = DecoderState(hidden, cell, contexts)
-
-    features = tape.concat_cols([_rows(tape, out_hiddens)]
-                                + [_rows(tape, c) for c in zip(*step_contexts)])
-    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]),
-                                        params["out_b"]))
-    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]),
-                                 params["gate_b"]))
-    copy_keys = _cached_keys(tape, enc, "copy_keys", enc.copy_states, params["copy_W"])
-    copy_attn = tape.row_softmax(tape.matmul(_rows(tape, hiddens), copy_keys,
-                                             transpose_b=True))
-    return DecoderStepOutput(state, gate, p_vocab, copy_attn)
+        state, out_hidden = _step(tape, params, enc, state, y, drops)
+        states.append(state)
+        out_hiddens.append(out_hidden)
+    return _output_layer(tape, params, enc, states, out_hiddens)
 
 
 def decode_step(tape, params, enc, state, prev_token_id, drops=None):
-    """One decoder step conditioned on the previously produced token.
+    """One decoder step over every row of `state`.
 
-    The recurrent input is [word embedding of prev token; previous
-    context(s)]; attention and copy scores are bilinear in the new hidden
-    state. Dropout, when active, touches only the output-projection copy of
-    the hidden state, never the recurrent carry.
+    `prev_token_id` is one id for a one-row state, or a sequence of one id
+    per row: beam search advances all live hypotheses as the rows of one
+    state. Row r of the output belongs to row r of the state.
     """
-    return decode_steps(tape, params, enc, state, [prev_token_id], drops=drops)
+    ids = [prev_token_id] if np.ndim(prev_token_id) == 0 else prev_token_id
+    y = tape.embedding(params["word_emb"], ids)
+    state, out_hidden = _step(tape, params, enc, state, y, drops)
+    return _output_layer(tape, params, enc, [state], [out_hidden])
 
 
 def extended_vocab(enc, vocab):
@@ -463,12 +480,13 @@ def final_distribution(step, enc, vocab):
 
     P(w) = g * P_v(w) + (1-g) * sum of copy attention over w's source
     occurrences; in-vocabulary copies merge into their vocabulary entry.
-    Returns (probabilities, extra surface forms). Detached numpy; inference
-    only.
+    Returns (probabilities, extra surface forms): a 1-D array for a one-row
+    step, else one row per step row. Detached numpy; inference only.
     """
     extra, targets = extended_vocab(enc, vocab)
-    g = float(step.gate.data[0, 0])
-    dist = np.zeros(len(vocab) + len(extra))
-    dist[:len(vocab)] = g * step.p_vocab.data[0]
-    np.add.at(dist, targets, (1.0 - g) * step.copy_attn.data[0])
-    return dist, extra
+    g = step.gate.data
+    dist = np.zeros((g.shape[0], len(vocab) + len(extra)))
+    dist[:, :len(vocab)] = g * step.p_vocab.data
+    # adding into the transposed grid keeps each row's accumulation order
+    np.add.at(dist.T, targets, ((1.0 - g) * step.copy_attn.data).T)
+    return (dist[0] if g.shape[0] == 1 else dist), extra

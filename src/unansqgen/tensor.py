@@ -20,6 +20,8 @@ import struct
 
 import numpy as np
 
+from .fileio import atomic_write
+
 
 class TapeError(ValueError):
     """Raised for shape mismatches, non-finite values, or misuse of the tape."""
@@ -559,7 +561,7 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, named_tensors):
     """Write (name, shape, float64 values) records; order follows the mapping."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named_tensors)))
         for name, tensor in named_tensors.items():

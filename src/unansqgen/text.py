@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .fileio import atomic_write
+
 PAD, UNK, BOS, EOS, SEP = "<pad>", "<unk>", "<bos>", "<eos>", "<sep>"
 SPECIAL_TOKENS = (PAD, UNK, BOS, EOS, SEP)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID, SEP_ID = range(5)
@@ -140,7 +142,7 @@ def char_ids(token):
 
 def save_vocab(path, vocab):
     """One token per line in id order; the first five lines are the specials."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for token in vocab.id_to_token:
             fh.write(token + "\n")
 

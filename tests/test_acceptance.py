@@ -412,8 +412,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
                      "--dims-override", "6/3", "--seed", "21"]) == 0
         assert main(["generate", "--checkpoint", str(d / "m.ckpt"),
                      "--vocab", str(d / "v"), "--input", str(d / "p"),
-                     "--out", str(d / "g"), "--beam", "2", "--max-len", "6",
-                     "--seed", "21"]) == 0
+                     "--out", str(d / "g"), "--beam", "2", "--max-len", "6"]) == 0
         outputs.append({name: (d / name).read_bytes()
                         for name in ("p", "h", "v", "m.ckpt", "g")})
     capsys.readouterr()

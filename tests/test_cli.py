@@ -6,8 +6,9 @@ import pytest
 
 from conftest import synthetic_squad, write_squad
 from unansqgen import data, text
-from unansqgen.cli import _OutputGuard, main
+from unansqgen.cli import main
 from unansqgen.decode import load_generations
+from unansqgen.fileio import atomic_write
 from unansqgen.model import ModelParams
 
 
@@ -303,17 +304,78 @@ def test_train_validation_failure_leaves_no_checkpoint(pipeline, tmp_path, capsy
     assert not out.exists() and not (tmp_path / "m.ckpt.json").exists()
 
 
-def test_output_guard_removes_partial_files(tmp_path):
+def test_atomic_write_keeps_old_file_on_error(tmp_path):
     target = tmp_path / "partial.out"
+    target.write_text("old", encoding="utf-8")
     with pytest.raises(RuntimeError):
-        with _OutputGuard([str(target)]):
-            target.write_text("half-written", encoding="utf-8")
+        with atomic_write(target) as fh:
+            fh.write("half-written")
             raise RuntimeError("simulated failure")
-    assert not target.exists()
-    kept = tmp_path / "kept.out"
-    with _OutputGuard([str(kept)]):
-        kept.write_text("done", encoding="utf-8")
-    assert kept.exists()
+    assert target.read_text(encoding="utf-8") == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["partial.out"]
+    with atomic_write(target) as fh:
+        fh.write("done")
+    assert target.read_text(encoding="utf-8") == "done"
+    assert [p.name for p in tmp_path.iterdir()] == ["partial.out"]
+    missing = tmp_path / "no-such-dir" / "x.out"
+    with pytest.raises(FileNotFoundError) as exc:
+        with atomic_write(missing):
+            pass
+    assert exc.value.filename == str(missing)
+
+
+def test_failed_train_keeps_existing_checkpoint(pipeline, tmp_path, capsys):
+    out = tmp_path / "existing.ckpt"
+    out.write_bytes(open(pipeline["ckpt"], "rb").read())
+    (tmp_path / "existing.ckpt.json").write_text("{}\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc = main(["train", "--pairs", pipeline["pairs"], "--holdout", pipeline["holdout"],
+               "--vocab", pipeline["vocab"], "--out", str(out), "--lr", "-1",
+               "--dims-override", "6/3"])
+    assert rc == 1
+    assert "learning_rate" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_generate_keeps_existing_output(pipeline, tmp_path, capsys):
+    out = tmp_path / "existing.tsv"
+    out.write_text("pair-1\told output\t-1.000000\n", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rc = main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+               "--input", pipeline["pairs"], "--out", str(out), "--beam", "0"])
+    assert rc == 1
+    assert "beam_size" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("answers", [[{"text": "beta", "answer_start": "6"}], ["beta"]],
+                         ids=["string-answer-start", "bare-string-answer"])
+def test_align_malformed_answer_is_one_error_line(tmp_path, capsys, answers):
+    squad = tmp_path / "odd.json"
+    squad.write_text(json.dumps({"version": "v2.0", "data": [{
+        "title": "T",
+        "paragraphs": [{"context": "alpha beta gamma",
+                        "qas": [{"id": "q-odd", "question": "q?", "answers": answers}]}],
+    }]}), encoding="utf-8")
+    rc = main(["align", "--squad", str(squad), "--out-pairs", str(tmp_path / "p"),
+               "--out-holdout", str(tmp_path / "h"), "--out-vocab", str(tmp_path / "v")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'q-odd'" in err
+
+
+def test_generate_has_no_seed_option(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("seed=7\n", encoding="utf-8")
+    rc = main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+               "--input", pipeline["pairs"], "--out", str(tmp_path / "g"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert "unknown key 'seed'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+              "--input", pipeline["pairs"], "--out", str(tmp_path / "g"), "--seed", "7"])
 
 
 def test_gradcheck_small_fixture(capsys):

@@ -112,6 +112,28 @@ def test_parse_squad_structural_errors_name_location(tmp_path):
         parse_squad(path2)
 
 
+def squad_with_answers(tmp_path, answers):
+    return write_squad(tmp_path / "x.json", [{
+        "title": "T",
+        "paragraphs": [{"context": "alpha beta gamma",
+                        "qas": [{"id": "q-odd", "question": "q?", "answers": answers}]}],
+    }])
+
+
+def test_parse_squad_rejects_string_answer_start(tmp_path):
+    path = squad_with_answers(tmp_path, [{"text": "beta", "answer_start": "6"}])
+    with pytest.raises(DatasetError) as exc:
+        parse_squad(path)
+    assert "'q-odd'" in str(exc.value) and "answer_start" in str(exc.value)
+
+
+def test_parse_squad_rejects_bare_string_answer(tmp_path):
+    path = squad_with_answers(tmp_path, ["beta"])
+    with pytest.raises(DatasetError) as exc:
+        parse_squad(path)
+    assert "'q-odd'" in str(exc.value) and "an answer must be an object" in str(exc.value)
+
+
 # levenshtein
 
 

@@ -10,6 +10,7 @@ from unansqgen.data import AlignedPair
 from unansqgen.decode import (
     BeamHypothesis,
     _ranked,
+    _top_k,
     beam_search,
     filter_outputs,
     generate_for_example,
@@ -87,6 +88,75 @@ def test_beam_full_width_matches_enumeration(mode, seed):
     assert got == want
     best_score, best_tokens = max(oracle, key=lambda r: (r[0], r[1]))
     assert hyps[0].score == pytest.approx(best_score, abs=1e-9)
+
+
+def serial_beam_search(tape, params, enc, vocab, beam_size, max_len):
+    """Reference: the per-hypothesis beam loop, one single-row decoder step
+    and one full stable sort per step, each hypothesis carrying its own
+    decoder state."""
+    extended = extended_vocab(enc, vocab)[0]
+    width = len(vocab) + len(extended)
+    beams = [BeamHypothesis([], 0.0, init_decoder(tape, params, enc), text.BOS_ID)]
+    finished = []
+    for _ in range(max_len):
+        if not beams or len(finished) >= beam_size:
+            break
+        scores = np.full((len(beams), width), -np.inf)
+        next_states = []
+        for bi, hyp in enumerate(beams):
+            step = decode_step(tape, params, enc, hyp.state, hyp.prev_id)
+            next_states.append(step.state)
+            dist, _ = final_distribution(step, enc, vocab)
+            with np.errstate(divide="ignore"):
+                logp = np.log(dist)
+            logp[text.UNK_ID] = -np.inf
+            scores[bi] = hyp.score + logp
+        flat = scores.ravel()
+        new_beams = []
+        for slot in np.argsort(-flat, kind="stable")[:beam_size]:
+            if not math.isfinite(flat[slot]):
+                break
+            parent, idx = divmod(int(slot), width)
+            surface = vocab.token(idx) if idx < len(vocab) else extended[idx - len(vocab)]
+            hyp = BeamHypothesis(beams[parent].tokens + [surface], float(flat[slot]),
+                                 next_states[parent],
+                                 idx if idx < len(vocab) else text.UNK_ID)
+            if idx == text.EOS_ID:
+                hyp.finished = True
+                finished.append(hyp)
+            else:
+                new_beams.append(hyp)
+        beams = new_beams
+    return _ranked(finished or beams, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+@pytest.mark.parametrize("seed", [1, 7, 13, 99])
+def test_batched_beam_equals_per_hypothesis_reference(mode, seed):
+    tape, params, enc, vocab = toy_setup(mode, seed)
+    width = len(vocab) + len(extended_vocab(enc, vocab)[0])
+    for beam_size, max_len in ((1, 6), (2, 6), (5, 6), ((width - 1) * (width - 2) ** 2, 3)):
+        got = beam_search(tape, params, enc, vocab, beam_size=beam_size, max_len=max_len)
+        want = serial_beam_search(tape, params, enc, vocab, beam_size, max_len)
+        assert [h.surface() for h in got] == [h.surface() for h in want]
+        assert [h.finished for h in got] == [h.finished for h in want]
+        np.testing.assert_allclose([h.score for h in got], [h.score for h in want],
+                                   rtol=0, atol=1e-12)
+
+
+def test_top_k_equals_stable_argsort():
+    rng = np.random.default_rng(5)
+    grids = [
+        rng.integers(0, 4, size=60).astype(float),  # many exact ties
+        np.where(rng.random(80) < 0.5, -np.inf, rng.integers(0, 3, size=80).astype(float)),
+        np.full(12, -np.inf),
+        np.array([0.0, -0.0, 0.0, -1.0, -np.inf]),
+        rng.normal(size=200),
+    ]
+    for flat in grids:
+        for k in (1, 2, 3, 5, 17, flat.size - 1, flat.size, flat.size + 4):
+            want = np.argsort(-flat, kind="stable")[:k]
+            np.testing.assert_array_equal(_top_k(flat, k), want)
 
 
 def test_beam_size_one_equals_greedy():

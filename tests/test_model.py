@@ -6,6 +6,7 @@ import pytest
 from unansqgen.model import (
     ENC_HIDDEN,
     WORD_DIM,
+    DecoderState,
     DecoderStepOutput,
     EncodedInput,
     ModelError,
@@ -20,7 +21,7 @@ from unansqgen.model import (
     interact,
     load_pretrained_vectors,
 )
-from unansqgen.tensor import Tape, Tensor, backward, grad_check
+from unansqgen.tensor import Tape, TapeError, Tensor, backward, grad_check
 from unansqgen.text import (
     BOS_ID,
     TYPE_ANSWER,
@@ -346,6 +347,37 @@ def test_decoder_distributions_normalized_both_modes():
                 assert extra == ["zz"]
                 state = step.state
                 prev = int(np.argmax(dist[:len(vocab)]))
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_row_batched_step_equals_single_row_steps(mode):
+    vocab = small_vocab()
+    p = small_params(mode, seed=5)
+    tape, enc = encode_example(p, vocab)
+    # four distinct states: the initial one and three steps along a path
+    states = [init_decoder(tape, p, enc)]
+    for prev in (BOS_ID, vocab.id("aa"), vocab.id("cc")):
+        states.append(decode_step(tape, p, enc, states[-1], prev).state)
+    ids = [vocab.id("bb"), BOS_ID, vocab.id("dd"), vocab.id("aa")]
+    stacked = DecoderState(tape.stack_rows([s.hidden for s in states]),
+                           tape.stack_rows([s.cell for s in states]),
+                           [tape.stack_rows(list(c)) for c in zip(*(s.contexts for s in states))])
+    batch = decode_step(tape, p, enc, stacked, ids)
+    dists, _ = final_distribution(batch, enc, vocab)
+    assert dists.shape == (4, len(vocab) + 1)
+    for r, (state, prev) in enumerate(zip(states, ids)):
+        one = decode_step(tape, p, enc, state, prev)
+        for got, want in [(batch.gate, one.gate), (batch.p_vocab, one.p_vocab),
+                          (batch.copy_attn, one.copy_attn),
+                          (batch.state.hidden, one.state.hidden),
+                          (batch.state.cell, one.state.cell)]:
+            np.testing.assert_allclose(got.data[r], want.data[0], rtol=0, atol=1e-12)
+        for got, want in zip(batch.state.contexts, one.state.contexts):
+            np.testing.assert_allclose(got.data[r], want.data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dists[r], final_distribution(one, enc, vocab)[0],
+                                   rtol=0, atol=1e-12)
+    with pytest.raises(TapeError):
+        decode_step(tape, p, enc, stacked, ids[:3])
 
 
 def test_extended_vocab_first_occurrence_order():
