@@ -5,6 +5,9 @@ operations append records to a Tape, and backward() walks the records in
 reverse, accumulating vector-Jacobian products into leaf gradients.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from unansqgen.tensor import (Tape, Tensor, backward, grad_check,
@@ -44,7 +47,9 @@ print(f"finite-difference check: max relative error {worst:.3e}")
 
 # parameters travel as a binary checkpoint and come back bit-identical
 arrays = {"W1": W1.data, "b1": b1.data, "W2": W2.data}
-save_checkpoint("/tmp/demo_autodiff.ckpt", arrays)
-loaded = load_checkpoint("/tmp/demo_autodiff.ckpt")
+with tempfile.TemporaryDirectory(prefix="unansqgen_demo_") as root:
+    path = os.path.join(root, "demo_autodiff.ckpt")
+    save_checkpoint(path, arrays)
+    loaded = load_checkpoint(path)
 identical = all(np.array_equal(arrays[k], loaded[k]) for k in arrays)
 print(f"checkpoint round-trip bit-identical: {identical}")

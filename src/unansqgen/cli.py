@@ -4,27 +4,56 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import data, decode, metrics, text
 from .fileio import atomic_write
-from .model import ModelParams, encode_input
+from .model import MODES, ModelParams, encode_input
 from .tensor import Tape, grad_check
-from .train import TrainConfig, TrainingError, config_summary, sequence_nll, train
+from .train import TrainConfig, TrainingError, sequence_nll, train
 
 
-# Options resolvable through a key=value config file. Command-line flags
-# override the file; the file overrides these defaults.
+def _mode(value):
+    if value not in MODES:
+        raise argparse.ArgumentTypeError(f"mode must be one of {', '.join(MODES)}, "
+                                         f"got {value!r}")
+    return value
+
+
+# Each command's settable options: name -> (type, default, help). Every one is
+# a --flag (underscores become dashes) and a key of the --config file.
+# Command-line flags override the file; the file overrides the default.
 _OPTIONS = {
-    "align": {"seed": (int, 13), "min_count": (int, 9), "holdout_fraction": (float, 0.1)},
-    "train": {"mode": (str, "seq2seq"), "epochs": (int, 10), "batch_size": (int, 32),
-              "lr": (float, 0.15), "dropout": (float, 0.2), "clip": (float, 5.0),
-              "seed": (int, 13), "dims_override": (str, None), "max_target_len": (int, 50)},
-    "generate": {"mode": (str, None), "beam": (int, 5), "nbest": (int, 1),
-                 "max_len": (int, 50)},
+    "align": {
+        "seed": (int, 13, "seed of the article-level holdout split"),
+        "min_count": (int, 9, "vocabulary frequency threshold"),
+        "holdout_fraction": (float, 0.1, "share of pairs held out, by whole articles"),
+    },
+    "train": {
+        "mode": (_mode, TrainConfig.mode, "generator architecture"),
+        "epochs": (int, TrainConfig.epochs, "passes over the training pairs"),
+        "batch_size": (int, TrainConfig.batch_size, "examples per Adagrad step"),
+        "lr": (float, TrainConfig.learning_rate, "Adagrad learning rate"),
+        "dropout": (float, TrainConfig.dropout, "dropout probability"),
+        "clip": (float, TrainConfig.clip_norm, "global gradient-norm clip"),
+        "seed": (int, TrainConfig.seed, "seed of initialization, shuffling and dropout"),
+        "dims_override": (str, None, "WORD/HIDDEN, for tests only"),
+        "max_target_len": (int, TrainConfig.max_target_len, "target length cap, EOS included"),
+    },
+    "generate": {
+        "mode": (_mode, None, "must match the checkpoint when given"),
+        "beam": (int, 5, "beam width"),
+        "nbest": (int, 1, "generations kept per input"),
+        "max_len": (int, 50, "decoder steps per generation"),
+    },
     "evaluate": {},
     "augment": {},
-    "gradcheck": {"mode": (str, "seq2seq"), "dims_override": (str, "8/4"),
-                  "vocab_size": (int, 20), "seed": (int, 13)},
+    "gradcheck": {
+        "mode": (_mode, "seq2seq", "generator architecture"),
+        "dims_override": (str, "8/4", "WORD/HIDDEN"),
+        "vocab_size": (int, 20, "vocabulary size of the miniature model"),
+        "seed": (int, 13, "seed of the miniature model"),
+    },
 }
 
 
@@ -32,7 +61,8 @@ class CliError(ValueError):
     pass
 
 
-def _read_config(path, allowed):
+def _read_config(path, spec):
+    """Typed {name: value} from a key=value file; every key must be in `spec`."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -42,29 +72,22 @@ def _read_config(path, allowed):
             if "=" not in line:
                 raise CliError(f"{path}:{ln}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in allowed:
+            if key not in spec:
                 raise CliError(f"{path}:{ln}: unknown key {key!r}")
-            values[key] = value
+            try:
+                values[key] = spec[key][0](value)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise CliError(f"{path}:{ln}: config key {key!r}: cannot parse "
+                               f"{value!r}") from None
     return values
 
 
 def _resolve_options(args, command):
     spec = _OPTIONS[command]
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_config(args.config, spec)
-    for name, (cast, default) in spec.items():
-        value = getattr(args, name, None)
-        if value is None:
-            if name in file_values:
-                try:
-                    value = cast(file_values[name])
-                except ValueError:
-                    raise CliError(f"config key {name!r}: cannot parse "
-                                   f"{file_values[name]!r}") from None
-            else:
-                value = default
-        setattr(args, name, value)
+    file_values = _read_config(args.config, spec) if args.config else {}
+    for name, (_, default, _) in spec.items():
+        if getattr(args, name) is None:
+            setattr(args, name, file_values.get(name, default))
 
 
 def _parse_dims(value):
@@ -127,7 +150,7 @@ def cmd_train(args):
         config.word_dim, config.enc_hidden = dims
     params, history = train(config, pairs, holdout, vocab, log=print)
     params.save(args.out, extra={"vocab_size": len(vocab),
-                                 "train_config": config_summary(config)})
+                                 "train_config": asdict(config)})
     best = min(h["holdout_ppl"] for h in history)
     print(f"best_holdout_ppl={best:.4f}")
     return 0
@@ -245,18 +268,11 @@ def cmd_augment(args):
         for qa in rec.qas:
             if not qa.is_impossible:
                 index[qa.id] = (rec, qa)
-    unmatched = 0
-    generated = []
-    for qid, tokens, _ in gens:
-        if qid not in index:
-            unmatched += 1
-            continue
-        rec, qa = index[qid]
-        generated.append((rec, qa, tokens))
+    generated = [(*index[qid], tokens) for qid, tokens, _ in gens if qid in index]
     result = data.build_augmentation(generated, args.out)
     print(f"written={result.written}")
     print(f"skipped={result.skipped}")
-    print(f"unmatched={unmatched}")
+    print(f"unmatched={len(gens) - len(generated)}")
     return 0
 
 
@@ -264,13 +280,7 @@ def _gradcheck_fixture(vocab_size, mode, dims, seed):
     """Deterministic miniature model and example for the finite-difference check."""
     if vocab_size <= len(text.SPECIAL_TOKENS):
         raise CliError(f"--vocab-size must exceed {len(text.SPECIAL_TOKENS)}")
-    bank = []
-    consonants = "kmnprstw"
-    vowels = "aeio"
-    for c in consonants:
-        for v in vowels:
-            bank.append(c + v)
-    bank = bank[:vocab_size - len(text.SPECIAL_TOKENS)]
+    bank = [c + v for c in "kmnprstw" for v in "aeio"][:vocab_size - len(text.SPECIAL_TOKENS)]
     vocab = text.Vocab(sorted(bank))
     word_dim, enc_hidden = dims
     params = ModelParams(len(vocab), mode, word_dim=word_dim, enc_hidden=enc_hidden,
@@ -314,78 +324,51 @@ def _build_parser():
                     "answerable ones, and build augmentation data from the output.")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("align", help="extract aligned question pairs from SQuAD 2.0 files")
+    def command(name, run, help_text):
+        """A subcommand that calls `run`, with its option table and --config."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        for key, (kind, default, key_help) in _OPTIONS[name].items():
+            if default is not None:
+                key_help = f"{key_help} (default {default})"
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=key_help)
+        p.add_argument("--config", help="key=value file of option values; flags override it")
+        return p
+
+    p = command("align", cmd_align, "extract aligned question pairs from SQuAD 2.0 files")
     p.add_argument("--squad", nargs="+", required=True,
                    help="input SQuAD v2.0 JSON files; the first builds the vocabulary")
     p.add_argument("--out-pairs", required=True)
     p.add_argument("--out-holdout", required=True)
     p.add_argument("--out-vocab", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-count", type=int, help="vocabulary frequency threshold")
-    p.add_argument("--holdout-fraction", type=float)
-    p.add_argument("--config")
 
-    p = sub.add_parser("train", help="train a generator on aligned pairs")
+    p = command("train", cmd_train, "train a generator on aligned pairs")
     p.add_argument("--pairs", required=True)
     p.add_argument("--holdout", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--mode", choices=["seq2seq", "pair2seq"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dims-override", help="WORD/HIDDEN, for tests only")
-    p.add_argument("--max-target-len", type=int)
     p.add_argument("--pretrained", help="optional word-vector text file")
-    p.add_argument("--config")
 
-    p = sub.add_parser("generate", help="decode questions for a SQuAD file or pair file")
+    p = command("generate", cmd_generate, "decode questions for a SQuAD file or pair file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True, help="SQuAD JSON or aligned-pair file")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["seq2seq", "pair2seq"],
-                   help="must match the checkpoint when given")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--nbest", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--config")
 
-    p = sub.add_parser("evaluate", help="score generations against references")
+    p = command("evaluate", cmd_evaluate, "score generations against references")
     p.add_argument("--generations", required=True)
     p.add_argument("--pairs", help="aligned-pair file whose rows match pair-<k> ids")
     p.add_argument("--sources", help="one source question per line")
     p.add_argument("--references", help="one reference question per line")
     p.add_argument("--out")
-    p.add_argument("--config")
 
-    p = sub.add_parser("augment", help="emit unanswerable SQuAD records from generations")
+    p = command("augment", cmd_augment, "emit unanswerable SQuAD records from generations")
     p.add_argument("--generations", required=True)
     p.add_argument("--squad", required=True, help="source file holding the question ids")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check on a miniature model")
-    p.add_argument("--mode", choices=["seq2seq", "pair2seq"])
-    p.add_argument("--dims-override", help="WORD/HIDDEN, default 8/4")
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-
+    command("gradcheck", cmd_gradcheck, "finite-difference check on a miniature model")
     return parser
-
-
-_COMMANDS = {
-    "align": cmd_align,
-    "train": cmd_train,
-    "generate": cmd_generate,
-    "evaluate": cmd_evaluate,
-    "augment": cmd_augment,
-    "gradcheck": cmd_gradcheck,
-}
 
 
 def main(argv=None):
@@ -396,7 +379,7 @@ def main(argv=None):
         return 2
     try:
         _resolve_options(args, args.command)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

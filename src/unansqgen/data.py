@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .fileio import atomic_write
@@ -171,7 +172,6 @@ def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTIO
     for record in records:
         token_spans = tokenize_with_spans(record.context)[:paragraph_cap]
         para_tokens = [tok for tok, _, _ in token_spans]
-        span_cache = {}
         by_pivot_ans = {}
         by_pivot_unans = {}
         for qa in record.qas:
@@ -185,18 +185,16 @@ def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTIO
         for pivot in by_pivot_ans:
             if pivot not in by_pivot_unans:
                 continue
-            if pivot not in span_cache:
-                span_cache[pivot] = pivot_token_span(token_spans, pivot[0], pivot[1])
-                if span_cache[pivot] is None:
-                    stats.dropped_pivots += 1
-            if span_cache[pivot] is None:
+            span = pivot_token_span(token_spans, pivot[0], pivot[1])
+            if span is None:
+                stats.dropped_pivots += 1
                 continue
             for a_qa, a_tokens in by_pivot_ans[pivot]:
                 for u_qa, u_tokens in by_pivot_unans[pivot]:
                     stats.candidate_pairs += 1
                     dist = levenshtein(a_tokens, u_tokens)
                     candidates.append((dist, ans_order[a_qa.id], unans_order[u_qa.id],
-                                       record, para_tokens, span_cache[pivot], pivot,
+                                       record, para_tokens, span, pivot,
                                        a_qa, a_tokens, u_qa, u_tokens))
 
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
@@ -229,14 +227,12 @@ def split_holdout(pairs, seed, fraction=0.1, titles=None):
         titles = sorted(titles)
     rng = random.Random(seed)
     rng.shuffle(titles)
-    counts = {}
-    for p in pairs:
-        counts[p.title] = counts.get(p.title, 0) + 1
+    counts = Counter(p.title for p in pairs)
     target = fraction * len(pairs)
     held = set()
     running = 0
     for title in titles:
-        c = counts.get(title, 0)
+        c = counts[title]
         if abs(running + c - target) <= abs(running - target):
             held.add(title)
             running += c
@@ -304,8 +300,7 @@ def build_augmentation(generated, out_path):
     plausible answers. Generations equal to their source question (token
     level) or empty are skipped and counted.
     """
-    articles = {}
-    order = []
+    paragraphs = {}  # title -> context -> qas, each in first-seen order
     written = 0
     skipped = 0
     per_source = {}
@@ -315,11 +310,8 @@ def build_augmentation(generated, out_path):
             continue
         k = per_source.get(source.id, 0) + 1
         per_source[source.id] = k
-        key = (paragraph.article_title, paragraph.context)
-        if key not in articles:
-            articles[key] = []
-            order.append(key)
-        articles[key].append({
+        qas = paragraphs.setdefault(paragraph.article_title, {}).setdefault(paragraph.context, [])
+        qas.append({
             "id": f"{source.id}-unansq-{k}",
             "question": " ".join(tokens),
             "is_impossible": True,
@@ -330,16 +322,11 @@ def build_augmentation(generated, out_path):
         })
         written += 1
 
-    by_title = {}
-    title_order = []
-    for title, context in order:
-        if title not in by_title:
-            by_title[title] = []
-            title_order.append(title)
-        by_title[title].append({"context": context, "qas": articles[(title, context)]})
     doc = {
         "version": "v2.0",
-        "data": [{"title": t, "paragraphs": by_title[t]} for t in title_order],
+        "data": [{"title": title,
+                  "paragraphs": [{"context": c, "qas": qas} for c, qas in contexts.items()]}
+                 for title, contexts in paragraphs.items()],
     }
     with atomic_write(out_path) as fh:
         json.dump(doc, fh, ensure_ascii=True, sort_keys=True, indent=1)

@@ -33,13 +33,8 @@ class BeamHypothesis:
         return list(self.tokens)
 
 
-def _ranked(hypotheses, length_penalty):
-    def key(h):
-        score = h.score
-        if length_penalty > 0.0 and h.tokens:
-            score = score / (len(h.tokens) ** length_penalty)
-        return (-score, h.tokens)
-    return sorted(hypotheses, key=key)
+def _ranked(hypotheses):
+    return sorted(hypotheses, key=lambda h: (-h.score, h.tokens))
 
 
 def _top_k(flat, k):
@@ -62,15 +57,15 @@ def _gather_rows(tape, state, rows):
     return DecoderState(take(state.hidden), take(state.cell), [take(c) for c in state.contexts])
 
 
-def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50, length_penalty=0.0):
+def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50):
     """Ranked hypotheses for one encoded input.
 
     Standard beam expansion over the final mixture distribution with the
     UNK entry suppressed to -inf; hypotheses retire when they emit EOS.
     Each step advances all live hypotheses at once, as the rows of one
     decoder state. Candidate ties break toward the earlier parent, then the
-    lower token index. Without a length penalty the ranking is raw total
-    log-probability. If nothing finishes within max_len, the surviving
+    lower token index. Hypotheses are ranked by total log-probability,
+    ties by their tokens. If nothing finishes within max_len, the surviving
     partial hypotheses are returned (finished=False).
     """
     if beam_size < 1:
@@ -105,9 +100,7 @@ def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50, length_penalt
             else:
                 new_beams.append(hyp)
         beams = new_beams
-    if finished:
-        return _ranked(finished, length_penalty)
-    return _ranked(beams, length_penalty)
+    return _ranked(finished or beams)
 
 
 def greedy_decode(tape, params, enc, vocab, max_len=50):
@@ -195,5 +188,11 @@ def load_generations(path):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{ln}: expected 3 tab-separated fields")
-            rows.append((parts[0], parts[1].split(), float(parts[2])))
+            try:
+                score = float(parts[2])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: score {parts[2]!r} is not a number") from None
+            if not math.isfinite(score):
+                raise ValueError(f"{path}:{ln}: score {parts[2]!r} is not finite")
+            rows.append((parts[0], parts[1].split(), score))
     return rows

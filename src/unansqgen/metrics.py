@@ -10,6 +10,38 @@ def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _corpus_score(name, triples, max_n):
+    """Corpus BLEU over (source, hypothesis, reference) triples, with GLEU's
+    source penalty taken from each non-empty source."""
+    if not triples:
+        raise ValueError(f"{name}: empty corpus")
+    if max_n < 1:
+        raise ValueError(f"{name}: max_n must be positive")
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = ref_len = 0
+    for src, hyp, ref in triples:
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts = _ngram_counts(hyp, n)
+            ref_counts = _ngram_counts(ref, n)
+            matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            if src:
+                # An n-gram absent from the source has a penalty of 0.
+                src_counts = _ngram_counts(src, n)
+                matched = max(0, matched - sum(
+                    min(c, src_counts[g]) - min(c, src_counts[g], ref_counts[g])
+                    for g, c in hyp_counts.items() if g in src_counts))
+            matches[n - 1] += matched
+            totals[n - 1] += sum(hyp_counts.values())
+    if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
+        return 0.0
+    log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_p)
+
+
 def bleu(pairs, max_n=4):
     """Corpus-level BLEU over (hypothesis, reference) token-list pairs.
 
@@ -17,26 +49,7 @@ def bleu(pairs, max_n=4):
     mean with uniform weights, brevity penalty exp(1 - r/c) when c < r.
     Any zero precision gives 0 (no smoothing).
     """
-    if not pairs:
-        raise ValueError("bleu: empty corpus")
-    if max_n < 1:
-        raise ValueError("bleu: max_n must be positive")
-    matches = [0] * max_n
-    totals = [0] * max_n
-    hyp_len = ref_len = 0
-    for hyp, ref in pairs:
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            totals[n - 1] += sum(hyp_counts.values())
-    if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
-        return 0.0
-    log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(log_p)
+    return _corpus_score("bleu", [((), hyp, ref) for hyp, ref in pairs], max_n)
 
 
 def gleu(triples, max_n=4):
@@ -48,31 +61,9 @@ def gleu(triples, max_n=4):
         penalty(g) = min(c_hyp, c_src) - min(c_hyp, c_src, c_ref)
 
     summed over n-gram types g, with the reduced numerator floored at 0.
+    An empty source gives the BLEU numerator.
     """
-    if not triples:
-        raise ValueError("gleu: empty corpus")
-    if max_n < 1:
-        raise ValueError("gleu: max_n must be positive")
-    matches = [0] * max_n
-    totals = [0] * max_n
-    hyp_len = ref_len = 0
-    for src, hyp, ref in triples:
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            hyp_counts = _ngram_counts(hyp, n)
-            ref_counts = _ngram_counts(ref, n)
-            src_counts = _ngram_counts(src, n)
-            clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            penalty = sum(min(c, src_counts[g]) - min(c, src_counts[g], ref_counts[g])
-                          for g, c in hyp_counts.items())
-            matches[n - 1] += max(0, clipped - penalty)
-            totals[n - 1] += sum(hyp_counts.values())
-    if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
-        return 0.0
-    log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(log_p)
+    return _corpus_score("gleu", triples, max_n)
 
 
 def _prf(overlap, ref_total, hyp_total):
@@ -130,15 +121,11 @@ def metric_report(triples):
         "gleu_3": gleu(triples, max_n=3),
         "gleu_4": gleu(triples, max_n=4),
     }
-    for n in (2, 3):
-        recall, precision, f1 = _mean_rouge(pairs, lambda h, r, n=n: rouge_n(h, r, n))
-        report[f"rouge_{n}_recall"] = recall
-        report[f"rouge_{n}_precision"] = precision
-        report[f"rouge_{n}_f1"] = f1
-    recall, precision, f1 = _mean_rouge(pairs, rouge_l)
-    report["rouge_l_recall"] = recall
-    report["rouge_l_precision"] = precision
-    report["rouge_l_f1"] = f1
+    rouges = {"2": lambda h, r: rouge_n(h, r, 2), "3": lambda h, r: rouge_n(h, r, 3),
+              "l": rouge_l}
+    for name, fn in rouges.items():
+        for part, value in zip(("recall", "precision", "f1"), _mean_rouge(pairs, fn)):
+            report[f"rouge_{name}_{part}"] = value
     return report
 
 

@@ -146,18 +146,40 @@ class ModelParams:
 
     @staticmethod
     def load(path):
-        """Rebuild (params, sidecar dict) from a checkpoint plus its sidecar."""
+        """Rebuild (params, sidecar dict) from a checkpoint plus its sidecar.
+
+        The sidecar must be an object holding `format_version` equal to
+        CHECKPOINT_VERSION and a `model` object with a known `mode` and
+        integer `vocab_size`, `word_dim` and `enc_hidden` of at least 1.
+        Anything else raises ModelError naming the sidecar and the key.
+        """
+        where = f"{path}.json"
         try:
-            with open(str(path) + ".json", encoding="utf-8") as fh:
+            with open(where, encoding="utf-8") as fh:
                 sidecar = json.load(fh)
         except FileNotFoundError:
-            raise ModelError(f"{path}.json: checkpoint sidecar not found") from None
+            raise ModelError(f"{where}: checkpoint sidecar not found") from None
         except json.JSONDecodeError as exc:
-            raise ModelError(f"{path}.json: invalid sidecar ({exc})") from None
-        cfg = sidecar.get("model", {})
-        params = ModelParams(cfg.get("vocab_size", 0), cfg.get("mode", ""),
-                             word_dim=cfg.get("word_dim", WORD_DIM),
-                             enc_hidden=cfg.get("enc_hidden", ENC_HIDDEN), seed=0)
+            raise ModelError(f"{where}: invalid sidecar ({exc})") from None
+        if not isinstance(sidecar, dict):
+            raise ModelError(f"{where}: sidecar must be a JSON object")
+
+        def field(table, name, valid, expected):
+            key = name.rpartition(".")[2]
+            if key not in table:
+                raise ModelError(f"{where}: missing key {name!r}")
+            if not valid(table[key]):
+                raise ModelError(f"{where}: key {name!r} must be {expected}, got {table[key]!r}")
+            return table[key]
+
+        field(sidecar, "format_version", lambda v: type(v) is int and v == CHECKPOINT_VERSION,
+              str(CHECKPOINT_VERSION))
+        cfg = field(sidecar, "model", lambda v: isinstance(v, dict), "an object")
+        mode = field(cfg, "model.mode", lambda v: v in MODES, f"one of {MODES}")
+        vocab_size, word_dim, enc_hidden = (
+            field(cfg, f"model.{key}", lambda v: type(v) is int and v >= 1, "an integer >= 1")
+            for key in ("vocab_size", "word_dim", "enc_hidden"))
+        params = ModelParams(vocab_size, mode, word_dim=word_dim, enc_hidden=enc_hidden, seed=0)
         arrays = load_checkpoint(path)
         params.set_arrays(arrays)
         if set(arrays) != set(params.tensors):
@@ -212,23 +234,18 @@ def _run_bilstm(tape, params, emb):
     h0 = Tensor(np.zeros((1, params.enc_hidden)))
     rows = [tape.slice_rows(emb, i, i + 1) for i in range(n)]
 
-    h, c = h0, h0
-    fw = []
-    for x in rows:
-        h, c = _lstm_step(tape, params, "enc_fw", x, h, c)
-        fw.append(h)
-    final_fw = fw[-1]
+    def run(prefix, xs):
+        h, c = h0, h0
+        out = []
+        for x in xs:
+            h, c = _lstm_step(tape, params, prefix, x, h, c)
+            out.append(h)
+        return out
 
-    h, c = h0, h0
-    bw = []
-    for x in reversed(rows):
-        h, c = _lstm_step(tape, params, "enc_bw", x, h, c)
-        bw.append(h)
-    final_bw = bw[-1]
-    bw.reverse()
-
+    fw = run("enc_fw", rows)
+    bw = run("enc_bw", reversed(rows))[::-1]
     states = tape.concat_cols([tape.stack_rows(fw), tape.stack_rows(bw)])
-    return states, final_fw, final_bw
+    return states, fw[-1], bw[0]
 
 
 def embed_inputs(tape, params, token_ids, char_id_lists, type_ids):
@@ -460,18 +477,14 @@ def extended_vocab(enc, vocab):
     order.
     """
     if "extvocab" not in enc.cache:
-        extra = []
-        index = {}
+        index = {}  # out-of-vocabulary surface -> its id, in first-occurrence order
         targets = []
         for tok in enc.copy_tokens:
             if tok in vocab:
                 targets.append(vocab.id(tok))
             else:
-                if tok not in index:
-                    index[tok] = len(vocab) + len(extra)
-                    extra.append(tok)
-                targets.append(index[tok])
-        enc.cache["extvocab"] = (extra, targets)
+                targets.append(index.setdefault(tok, len(vocab) + len(index)))
+        enc.cache["extvocab"] = (list(index), targets)
     return enc.cache["extvocab"]
 
 

@@ -150,40 +150,27 @@ def _fw_mul(arrays, meta):
     return out, vjp
 
 
-def _fw_concat_cols(arrays, meta):
-    rows = {a.shape[0] for a in arrays}
-    if any(a.ndim != 2 for a in arrays) or len(rows) != 1:
-        raise TapeError("concat-last-axis: operands must be 2-D with equal row counts, got shapes "
-                        + " and ".join(str(a.shape) for a in arrays))
-    out = np.concatenate(arrays, axis=1)
-    widths = [a.shape[1] for a in arrays]
+def _concat_rule(axis):
+    """Forward rule joining 2-D operands along `axis`: 1 for columns, 0 for rows."""
+    kind, equal = ("concat-last-axis", "row") if axis else ("stack-rows", "column")
 
-    def vjp(g):
-        pieces, col = [], 0
-        for w in widths:
-            pieces.append(g[:, col:col + w])
-            col += w
-        return pieces
+    def forward(arrays, meta):
+        if any(a.ndim != 2 for a in arrays) or len({a.shape[1 - axis] for a in arrays}) != 1:
+            raise TapeError(f"{kind}: operands must be 2-D with equal {equal} counts, got shapes "
+                            + " and ".join(str(a.shape) for a in arrays))
+        out = np.concatenate(arrays, axis=axis)
+        sizes = [a.shape[axis] for a in arrays]
 
-    return out, vjp
+        def vjp(g):
+            pieces, at = [], 0
+            for n in sizes:
+                pieces.append(g[:, at:at + n] if axis else g[at:at + n])
+                at += n
+            return pieces
 
+        return out, vjp
 
-def _fw_stack_rows(arrays, meta):
-    cols = {a.shape[1] for a in arrays}
-    if any(a.ndim != 2 for a in arrays) or len(cols) != 1:
-        raise TapeError("stack-rows: operands must be 2-D with equal column counts, got shapes "
-                        + " and ".join(str(a.shape) for a in arrays))
-    out = np.concatenate(arrays, axis=0)
-    heights = [a.shape[0] for a in arrays]
-
-    def vjp(g):
-        pieces, row = [], 0
-        for h in heights:
-            pieces.append(g[row:row + h, :])
-            row += h
-        return pieces
-
-    return out, vjp
+    return forward
 
 
 def _fw_tanh(arrays, meta):
@@ -290,8 +277,8 @@ _FORWARD = {
     "matmul": _fw_matmul,
     "add": _fw_add,
     "elementwise-multiply": _fw_mul,
-    "concat-last-axis": _fw_concat_cols,
-    "stack-rows": _fw_stack_rows,
+    "concat-last-axis": _concat_rule(1),
+    "stack-rows": _concat_rule(0),
     "tanh": _fw_tanh,
     "sigmoid": _fw_sigmoid,
     "row-softmax": _fw_row_softmax,
@@ -308,14 +295,13 @@ PRIMITIVE_KINDS = tuple(_FORWARD)
 
 
 class _Entry:
-    __slots__ = ("kind", "inputs", "output", "vjp", "meta")
+    __slots__ = ("kind", "inputs", "output", "vjp")
 
-    def __init__(self, kind, inputs, output, vjp, meta):
+    def __init__(self, kind, inputs, output, vjp):
         self.kind = kind
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
-        self.meta = meta
 
 
 class Tape:
@@ -352,7 +338,7 @@ class Tape:
             raise TapeError(f"{kind}: produced a non-finite output")
         out = Tensor(out_data)
         out._tracked = tracked
-        self.entries.append(_Entry(kind, list(inputs), out, vjp, meta))
+        self.entries.append(_Entry(kind, list(inputs), out, vjp))
         # Only now does an entry hold these tensors, so their ids stay unique.
         checked.update(map(id, unseen))
         checked.add(id(out))
@@ -404,18 +390,6 @@ class Tape:
 
     def log(self, x):
         return self.primitive("log", [x])
-
-    def replay(self):
-        """Recompute every entry from its recorded inputs and meta.
-
-        Dropout entries reuse their recorded seed, so a replay is
-        bit-identical to the original forward pass. Raises TapeError if any
-        recomputed value differs.
-        """
-        for i, e in enumerate(self.entries):
-            redone, _ = _FORWARD[e.kind]([t.data for t in e.inputs], e.meta)
-            if not np.array_equal(redone, e.output.data):
-                raise TapeError(f"replay: entry {i} ({e.kind}) did not reproduce its output")
 
 
 def backward(loss, tape):

@@ -78,8 +78,7 @@ def tokenize(text):
 class Vocab:
     """Bidirectional token<->id map; ids 0-4 are the fixed special tokens."""
 
-    def __init__(self, tokens, min_frequency=1):
-        self.min_frequency = min_frequency
+    def __init__(self, tokens):
         self.id_to_token = list(SPECIAL_TOKENS) + list(tokens)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
@@ -120,11 +119,7 @@ def build_vocab(token_corpora, min_frequency):
         counts.pop(special, None)
     kept = [t for t, c in counts.items() if c >= min_frequency]
     kept.sort(key=lambda t: (-counts[t], t))
-    return Vocab(kept, min_frequency=min_frequency)
-
-
-def encode(tokens, vocab):
-    return vocab.encode(tokens)
+    return Vocab(kept)
 
 
 def char_ids(token):
@@ -152,4 +147,4 @@ def load_vocab(path):
         lines = [line.rstrip("\n") for line in fh]
     if tuple(lines[:5]) != SPECIAL_TOKENS:
         raise ValueError(f"{path}: vocabulary file must start with the special-token header")
-    return Vocab(lines[5:], min_frequency=1)
+    return Vocab(lines[5:])

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import text
-from .model import (DropStream, ModelParams, encode_input, decode_steps,
+from .model import (MODES, DropStream, ModelParams, encode_input, decode_steps,
                     init_decoder, load_pretrained_vectors)
 from .model import decode_step  # noqa: F401  perfbench/tracing.py patches train.decode_step
 from .tensor import Tape, Tensor, TapeError, backward
@@ -31,11 +31,10 @@ class TrainConfig:
     word_dim: int = 300
     enc_hidden: int = 150
     max_target_len: int = 50
-    bucket_window: int = 50  # batches sorted together by source length
     pretrained_path: str = None
 
     def validate(self):
-        if self.mode not in ("seq2seq", "pair2seq"):
+        if self.mode not in MODES:
             raise TrainingError(f"unknown mode {self.mode!r}")
         if self.batch_size < 1:
             raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -126,13 +125,13 @@ def adagrad_step(params, grads, state, lr=0.15, clip=5.0):
     return True
 
 
-def _example_loss(params, vocab, pair, config, drops=None):
+def _example_loss(params, vocab, pair, max_target_len, drops=None):
     tape = Tape()
     enc = encode_input(tape, params, vocab, pair.paragraph_tokens,
                        pair.answer_start, pair.answer_end,
                        pair.answerable_tokens, drops=drops)
     loss, steps, _ = sequence_nll(tape, params, enc, vocab, pair.unanswerable_tokens,
-                                  max_len=config.max_target_len, drops=drops)
+                                  max_len=max_target_len, drops=drops)
     return tape, loss, steps
 
 
@@ -140,11 +139,10 @@ def perplexity(params, pairs, vocab, max_target_len=50):
     """exp(total NLL / total target tokens), dropout disabled."""
     if not pairs:
         raise TrainingError("perplexity: empty pair list")
-    cfg = TrainConfig(mode=params.mode, max_target_len=max_target_len)
     total = 0.0
     tokens = 0
     for pair in pairs:
-        _, loss, steps = _example_loss(params, vocab, pair, cfg)
+        _, loss, steps = _example_loss(params, vocab, pair, max_target_len)
         total += float(loss.data)
         tokens += steps
     return math.exp(total / tokens)
@@ -152,6 +150,9 @@ def perplexity(params, pairs, vocab, max_target_len=50):
 
 def _source_length(pair):
     return len(pair.paragraph_tokens) + len(pair.answerable_tokens)
+
+
+_BUCKET_WINDOW = 50  # batches sorted together by source length
 
 
 def _bucketed_batches(order, pairs, batch_size, window_batches, rng):
@@ -200,14 +201,14 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
         n_examples = 0
         skipped_before = opt.skipped
         for bi, batch in enumerate(_bucketed_batches(order, train_pairs, config.batch_size,
-                                                     config.bucket_window, rng)):
+                                                     _BUCKET_WINDOW, rng)):
             grad_sum = {}
             try:
                 for ei in batch:
                     drops = (DropStream((config.seed, epoch, int(ei)), keep)
                              if config.dropout > 0 else None)
                     tape, loss, _ = _example_loss(params, vocab, train_pairs[ei],
-                                                  config, drops=drops)
+                                                  config.max_target_len, drops=drops)
                     value = float(loss.data)
                     if not math.isfinite(value):
                         raise TapeError("non-finite loss")
@@ -242,8 +243,3 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
             best_arrays = params.copy_arrays()
     params.set_arrays(best_arrays)
     return params, history
-
-
-def config_summary(config):
-    """Plain-dict echo of a TrainConfig for checkpoint sidecars."""
-    return asdict(config)

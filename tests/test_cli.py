@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import synthetic_squad, write_squad
-from unansqgen import data, text
+from unansqgen import cli, data, text
 from unansqgen.cli import main
 from unansqgen.decode import load_generations
 from unansqgen.fileio import atomic_write
@@ -396,3 +396,93 @@ def test_bad_dims_override_rejected(capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "align" in capsys.readouterr().out
+
+
+# each command's option table drives both its flags and its config-file keys
+
+_REQUIRED = {
+    "align": ["--squad", "s.json", "--out-pairs", "p", "--out-holdout", "h", "--out-vocab", "v"],
+    "train": ["--pairs", "p", "--holdout", "h", "--vocab", "v", "--out", "m"],
+    "generate": ["--checkpoint", "m", "--vocab", "v", "--input", "p", "--out", "g"],
+    "evaluate": ["--generations", "g"],
+    "augment": ["--generations", "g", "--squad", "s.json", "--out", "a"],
+    "gradcheck": [],
+}
+_SAMPLE = {int: "3", float: "0.25", str: "6/3", cli._mode: "pair2seq"}
+
+
+def _table_keys():
+    return [(command, key) for command, spec in cli._OPTIONS.items() for key in spec]
+
+
+@pytest.mark.parametrize("command,key", _table_keys())
+def test_option_table_flag_and_config_key_agree(tmp_path, command, key):
+    kind, default, _ = cli._OPTIONS[command][key]
+    raw = _SAMPLE[kind]
+    parser = cli._build_parser()
+    from_flag = parser.parse_args([command, *_REQUIRED[command],
+                                   "--" + key.replace("_", "-"), raw])
+    cli._resolve_options(from_flag, command)
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    from_file = parser.parse_args([command, *_REQUIRED[command], "--config", str(cfg)])
+    cli._resolve_options(from_file, command)
+    assert getattr(from_flag, key) == getattr(from_file, key) == kind(raw)
+    assert getattr(from_flag, key) != default
+    unset = parser.parse_args([command, *_REQUIRED[command]])
+    cli._resolve_options(unset, command)
+    assert getattr(unset, key) == default
+
+
+def test_unknown_mode_rejected_on_command_line_and_in_config(pipeline, tmp_path, capsys):
+    train_args = ["train", "--pairs", pipeline["pairs"], "--holdout", pipeline["holdout"],
+                  "--vocab", pipeline["vocab"], "--out", str(tmp_path / "m.ckpt"),
+                  "--dims-override", "6/3", "--epochs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(train_args + ["--mode", "foo"])
+    assert exc.value.code == 2
+    assert "mode must be one of" in capsys.readouterr().err
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("mode=foo\n", encoding="utf-8")
+    rc = main(train_args + ["--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "train.cfg:1" in err and "'mode'" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("sidecar,key", [
+    ([], "sidecar must be a JSON object"),
+    ({"format_version": 1, "model": []}, "'model'"),
+    ({"format_version": 1, "model": {"mode": "seq2seq", "vocab_size": "7", "word_dim": 6,
+                                     "enc_hidden": 3}}, "'model.vocab_size'"),
+    ({"format_version": 1, "model": {"mode": "seq2seq", "vocab_size": 7, "word_dim": 4.0,
+                                     "enc_hidden": 3}}, "'model.word_dim'"),
+    ({"format_version": 1, "model": {"mode": "seq2seq", "vocab_size": 7, "word_dim": 6,
+                                     "enc_hidden": True}}, "'model.enc_hidden'"),
+    ({"format_version": 1, "model": {"mode": "seq2seq", "vocab_size": 0, "word_dim": 6,
+                                     "enc_hidden": 3}}, "'model.vocab_size'"),
+    ({"format_version": 1, "model": {"vocab_size": 7, "word_dim": 6, "enc_hidden": 3}},
+     "missing key 'model.mode'"),
+    ({"format_version": 1, "model": {"mode": "seq2seq", "word_dim": 6, "enc_hidden": 3}},
+     "missing key 'model.vocab_size'"),
+    ({"model": {"mode": "seq2seq", "vocab_size": 7, "word_dim": 6, "enc_hidden": 3}},
+     "missing key 'format_version'"),
+    ({"format_version": 2, "model": {"mode": "seq2seq", "vocab_size": 7, "word_dim": 6,
+                                     "enc_hidden": 3}}, "'format_version'"),
+], ids=["list", "model-list", "string-vocab-size", "float-word-dim", "bool-enc-hidden",
+        "zero-vocab-size", "no-mode", "no-vocab-size", "no-format-version", "version-2"])
+def test_generate_malformed_sidecar_is_one_error_line(pipeline, tmp_path, capsys,
+                                                      sidecar, key):
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(open(pipeline["ckpt"], "rb").read())
+    (tmp_path / "m.ckpt.json").write_text(json.dumps(sidecar), encoding="utf-8")
+    out = tmp_path / "g"
+    rc = main(["generate", "--checkpoint", str(ckpt), "--vocab", pipeline["vocab"],
+               "--input", pipeline["pairs"], "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "m.ckpt.json" in err and key in err
+    assert not out.exists()

@@ -127,7 +127,7 @@ def serial_beam_search(tape, params, enc, vocab, beam_size, max_len):
             else:
                 new_beams.append(hyp)
         beams = new_beams
-    return _ranked(finished or beams, 0.0)
+    return _ranked(finished or beams)
 
 
 @pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
@@ -243,14 +243,6 @@ def test_partial_hypotheses_returned_when_nothing_finishes():
             assert h.score == pytest.approx(again, abs=1e-9)
 
 
-def test_ranking_length_penalty_flag():
-    short = BeamHypothesis(["aa"], -2.0, None, 0, finished=True)
-    long = BeamHypothesis(["aa", "bb", "cc", "dd"], -3.0, None, 0, finished=True)
-    assert _ranked([long, short], 0.0)[0] is short
-    # normalized: -3/4 beats -2/1
-    assert _ranked([long, short], 1.0)[0] is long
-
-
 def test_filter_outputs_exact_source_match():
     source = ["what", "is", "it", "?"]
     same = BeamHypothesis(source + [text.EOS], -1.0, None, 0, finished=True)
@@ -293,3 +285,8 @@ def test_generation_file_rejects_bad_rows(tmp_path):
     path.write_text("q1\tonly two fields\n", encoding="utf-8")
     with pytest.raises(ValueError, match="gen.tsv:1"):
         load_generations(path)
+    # a score that is not a number, or not finite, names its file and line
+    for bad in ("x", "nan", "inf", "-inf", ""):
+        path.write_text(f"q1\tfine\t-1.0\nq2\tbad score\t{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"gen.tsv:2: score {bad!r}"):
+            load_generations(path)

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unansqgen.metrics import (
     bleu,
@@ -232,3 +235,107 @@ def test_format_report_layout():
 def test_metric_report_empty_rejected():
     with pytest.raises(ValueError):
         metric_report([])
+
+
+# the shared corpus scorer against separate BLEU and GLEU references
+
+
+def _reference_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_bleu(pairs, max_n=4):
+    """Corpus BLEU as a standalone scorer: pooled clipped precisions,
+    uniform geometric mean, brevity penalty, no smoothing."""
+    if not pairs:
+        raise ValueError("bleu: empty corpus")
+    if max_n < 1:
+        raise ValueError("bleu: max_n must be positive")
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = ref_len = 0
+    for hyp, ref in pairs:
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts = _reference_ngram_counts(hyp, n)
+            ref_counts = _reference_ngram_counts(ref, n)
+            matches[n - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            totals[n - 1] += sum(hyp_counts.values())
+    if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
+        return 0.0
+    log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_p)
+
+
+def reference_gleu(triples, max_n=4):
+    """GLEU as a standalone scorer: the source penalty summed over every
+    hypothesis n-gram type, numerators floored at 0."""
+    if not triples:
+        raise ValueError("gleu: empty corpus")
+    if max_n < 1:
+        raise ValueError("gleu: max_n must be positive")
+    matches = [0] * max_n
+    totals = [0] * max_n
+    hyp_len = ref_len = 0
+    for src, hyp, ref in triples:
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            hyp_counts = _reference_ngram_counts(hyp, n)
+            ref_counts = _reference_ngram_counts(ref, n)
+            src_counts = _reference_ngram_counts(src, n)
+            clipped = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            penalty = sum(min(c, src_counts[g]) - min(c, src_counts[g], ref_counts[g])
+                          for g, c in hyp_counts.items())
+            matches[n - 1] += max(0, clipped - penalty)
+            totals[n - 1] += sum(hyp_counts.values())
+    if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
+        return 0.0
+    log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
+    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return bp * math.exp(log_p)
+
+
+# A three-word alphabet makes shared n-grams between source, hypothesis and
+# reference common; lengths 0-6 include empty and shorter-than-max_n sentences.
+_sentences = st.lists(st.sampled_from(["a", "b", "c"]), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_sentences, _sentences, _sentences), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=4), st.booleans())
+def test_shared_scorer_is_bit_equal_to_references(triples, max_n, empty_sources):
+    if empty_sources:
+        triples = [([], hyp, ref) for _, hyp, ref in triples]
+    pairs = [(hyp, ref) for _, hyp, ref in triples]
+    assert bleu(pairs, max_n=max_n) == reference_bleu(pairs, max_n=max_n)
+    assert gleu(triples, max_n=max_n) == reference_gleu(triples, max_n=max_n)
+    if empty_sources:
+        assert gleu(triples, max_n=max_n) == bleu(pairs, max_n=max_n)
+
+
+def test_shared_scorer_reference_cases():
+    # a parroted hypothesis, a source that overlaps only the reference, and an
+    # empty hypothesis, scored together and one by one
+    triples = [
+        (["what", "runs", "the", "schools", "?"], ["what", "runs", "the", "schools", "?"],
+         ["what", "runs", "the", "waste", "?"]),
+        (["who", "owns", "it"], ["who", "sold", "it", "?"], ["who", "owns", "it", "?"]),
+        (["why", "?"], [], ["why", "not", "?"]),
+    ]
+    for max_n in (1, 2, 3, 4):
+        for corpus in [triples] + [[t] for t in triples]:
+            pairs = [(hyp, ref) for _, hyp, ref in corpus]
+            assert gleu(corpus, max_n=max_n) == reference_gleu(corpus, max_n=max_n)
+            assert bleu(pairs, max_n=max_n) == reference_bleu(pairs, max_n=max_n)
+
+
+def test_bleu_and_gleu_keep_their_error_names():
+    with pytest.raises(ValueError, match="^bleu: max_n"):
+        bleu([(["a"], ["a"])], max_n=0)
+    with pytest.raises(ValueError, match="^gleu: max_n"):
+        gleu([(["a"], ["a"], ["a"])], max_n=0)
+    with pytest.raises(ValueError, match="^bleu: empty"):
+        bleu([])

@@ -22,7 +22,6 @@ from unansqgen.text import (
     Vocab,
     build_vocab,
     char_ids,
-    encode,
     load_vocab,
     save_vocab,
     tokenize,
@@ -128,7 +127,7 @@ def test_build_vocab_ignores_special_surface_forms():
 
 def test_encode_oov_maps_to_unk():
     v = build_vocab([["a"] * 3], min_frequency=1)
-    assert encode(["a", "zzz"], v) == [v.id("a"), UNK_ID]
+    assert v.encode(["a", "zzz"]) == [v.id("a"), UNK_ID]
 
 
 def test_decode_encode_round_trip():
