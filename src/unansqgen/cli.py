@@ -41,7 +41,6 @@ _OPTIONS = {
         "max_target_len": (int, TrainConfig.max_target_len, "target length cap, EOS included"),
     },
     "generate": {
-        "mode": (_mode, None, "must match the checkpoint when given"),
         "beam": (int, 5, "beam width"),
         "nbest": (int, 1, "generations kept per input"),
         "max_len": (int, 50, "decoder steps per generation"),
@@ -200,9 +199,6 @@ def cmd_generate(args):
     if params.vocab_size != len(vocab):
         raise CliError(f"checkpoint vocabulary size {params.vocab_size} does not match "
                        f"vocabulary file size {len(vocab)}")
-    if args.mode and args.mode != params.mode:
-        raise CliError(f"requested mode {args.mode!r} but the checkpoint was trained "
-                       f"as {params.mode!r}")
     if _looks_like_squad(args.input):
         inputs, skipped_spans = _squad_generation_inputs(args.input)
     else:

@@ -160,7 +160,8 @@ def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTIO
     Candidates within a paragraph share an identical (text, char_start)
     pivot. All candidates are sorted globally by ascending token-level
     Levenshtein distance between the two questions (ties by dataset order)
-    and accepted greedily while both questions are still unpaired.
+    and accepted greedily while both questions are still unpaired. A
+    question with no tokens is skipped.
 
     Returns (pairs, AlignStats).
     """
@@ -175,11 +176,13 @@ def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTIO
         by_pivot_ans = {}
         by_pivot_unans = {}
         for qa in record.qas:
+            q_tokens = tokenize(qa.question)[:question_cap]
+            if not q_tokens:
+                continue
             order = unans_order if qa.is_impossible else ans_order
             if qa.id not in order:
                 order[qa.id] = len(order)
             bucket = by_pivot_unans if qa.is_impossible else by_pivot_ans
-            q_tokens = tokenize(qa.question)[:question_cap]
             for pivot in dict.fromkeys(qa.answers):
                 bucket.setdefault(pivot, []).append((qa, q_tokens))
         for pivot in by_pivot_ans:
@@ -281,7 +284,10 @@ def load_pairs(path):
             if not 0 <= start < end <= len(tokens):
                 raise DatasetError(f"{path}:{ln}: answer span [{start}, {end}) invalid "
                                    f"for {len(tokens)} paragraph tokens")
-            pairs.append(AlignedPair(title, tokens, start, end, ans_q.split(), unans_q.split()))
+            question = ans_q.split()
+            if not question:
+                raise DatasetError(f"{path}:{ln}: empty answerable question")
+            pairs.append(AlignedPair(title, tokens, start, end, question, unans_q.split()))
     return pairs
 
 

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import text
 from .fileio import atomic_write
-from .model import (DecoderState, decode_step, encode_input, extended_vocab,
-                    final_distribution, init_decoder)
+from .model import (DecoderState, decode_step, decode_steps, encode_input,
+                    extended_vocab, final_distribution, init_decoder)
 from .tensor import Tape
 
 
@@ -70,6 +70,8 @@ def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50):
     """
     if beam_size < 1:
         raise ValueError(f"beam_search: beam_size must be >= 1, got {beam_size}")
+    if max_len < 1:
+        raise ValueError(f"beam_search: max_len must be >= 1, got {max_len}")
     extended = extended_vocab(enc, vocab)[0]
     width = len(vocab) + len(extended)
     state = init_decoder(tape, params, enc)
@@ -104,55 +106,40 @@ def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50):
 
 
 def greedy_decode(tape, params, enc, vocab, max_len=50):
-    """Argmax decode after UNK suppression, ties to the lowest index.
+    """The width-1 beam: argmax decode after UNK suppression, ties to the
+    lowest index.
 
-    Returns the surface tokens without the EOS marker.
+    Returns the surface tokens without the EOS marker, or [] when no
+    candidate is finite.
     """
-    state = init_decoder(tape, params, enc)
-    prev_id = text.BOS_ID
-    extended = extended_vocab(enc, vocab)[0]
-    tokens = []
-    for _ in range(max_len):
-        step = decode_step(tape, params, enc, state, prev_id)
-        state = step.state
-        dist, _ = final_distribution(step, enc, vocab)
-        dist[text.UNK_ID] = 0.0
-        idx = int(np.argmax(dist))  # first maximum: lowest index on ties
-        if idx == text.EOS_ID:
-            break
-        surface = vocab.token(idx) if idx < len(vocab) else extended[idx - len(vocab)]
-        tokens.append(surface)
-        prev_id = idx if idx < len(vocab) else text.UNK_ID
-    return tokens
+    hyps = beam_search(tape, params, enc, vocab, beam_size=1, max_len=max_len)
+    return hyps[0].surface() if hyps else []
 
 
 def score_sequence(tape, params, enc, vocab, surface_tokens, include_eos=True):
     """Total log mixture probability of a token sequence, teacher-forced.
 
-    Tokens absent from both the vocabulary and the input's copy candidates
-    score -inf. Used to cross-check beam scores.
+    One decoder pass over [BOS] + the previous ids, as in training. Tokens
+    absent from both the vocabulary and the input's copy candidates, or of
+    zero probability, score -inf; an empty sequence scores 0.0. Used to
+    cross-check beam scores.
     """
+    steps = list(surface_tokens) + ([text.EOS] if include_eos else [])
+    if not steps:
+        return 0.0
     extra = extended_vocab(enc, vocab)[0]
     index = {tok: len(vocab) + k for k, tok in enumerate(extra)}
-    state = init_decoder(tape, params, enc)
-    prev_id = text.BOS_ID
+    ids = [vocab.id(tok) if tok in vocab else index.get(tok) for tok in steps]
+    if None in ids:
+        return -math.inf
+    prev_ids = [text.BOS_ID] + [i if i < len(vocab) else text.UNK_ID for i in ids[:-1]]
+    out = decode_steps(tape, params, enc, init_decoder(tape, params, enc), prev_ids)
+    dist, _ = final_distribution(out, enc, vocab)
     total = 0.0
-    steps = list(surface_tokens) + ([text.EOS] if include_eos else [])
-    for tok in steps:
-        step = decode_step(tape, params, enc, state, prev_id)
-        state = step.state
-        dist, _ = final_distribution(step, enc, vocab)
-        if tok in vocab:
-            idx = vocab.id(tok)
-        elif tok in index:
-            idx = index[tok]
-        else:
-            return -math.inf
-        p = dist[idx]
+    for p in dist.reshape(len(ids), -1)[np.arange(len(ids)), ids]:
         if p <= 0.0:
             return -math.inf
         total += math.log(p)
-        prev_id = idx if idx < len(vocab) else text.UNK_ID
     return total
 
 
@@ -164,6 +151,8 @@ def filter_outputs(hypotheses, source_question_tokens):
 
 def generate_for_example(params, vocab, pair, beam_size=5, max_len=50, nbest=1):
     """Encode one aligned pair and return up to nbest filtered hypotheses."""
+    if nbest < 1:
+        raise ValueError(f"generate_for_example: nbest must be >= 1, got {nbest}")
     tape = Tape()
     enc = encode_input(tape, params, vocab, pair.paragraph_tokens,
                        pair.answer_start, pair.answer_end, pair.answerable_tokens)

@@ -10,6 +10,7 @@ checkpoint format stay agnostic of the architecture.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,8 +192,9 @@ class ModelParams:
 def load_pretrained_vectors(path, vocab, params):
     """Overwrite word-embedding rows from a text file of token + numbers.
 
-    Lines whose token is out of vocabulary or whose dimension differs from
-    the embedding width are ignored. Returns the number of rows replaced.
+    Lines whose token is out of vocabulary, whose dimension differs from
+    the embedding width, or whose values are not all finite numbers are
+    ignored. Returns the number of rows replaced.
     """
     dim = params.word_dim
     table = params["word_emb"].data
@@ -206,9 +208,12 @@ def load_pretrained_vectors(path, vocab, params):
             if token not in vocab:
                 continue
             try:
-                table[vocab.id(token)] = [float(x) for x in parts[1:]]
+                row = [float(x) for x in parts[1:]]
             except ValueError:
                 continue
+            if not all(map(math.isfinite, row)):
+                continue
+            table[vocab.id(token)] = row
             matched += 1
     return matched
 

@@ -17,6 +17,7 @@ import math
 import multiprocessing
 import os
 import struct
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -35,22 +36,21 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient slot.
+    """Dense float64 array.
 
     `data` is a shaped numpy array; `values` exposes the row-major flat view.
-    Leaf tensors created with requires_grad=True collect gradients in
-    `backward`; tensors produced by tape primitives track gradient flow
-    automatically.
+    `backward` returns gradients for the leaf tensors created with
+    requires_grad=True; tensors produced by tape primitives track gradient
+    flow automatically.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_tracked")
+    __slots__ = ("data", "requires_grad", "name", "_tracked")
 
     def __init__(self, data, requires_grad=False, name=None):
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.name = name
         self._tracked = self.requires_grad
 
@@ -396,12 +396,10 @@ def backward(loss, tape):
     """Accumulate d(loss)/d(leaf) for every tracked leaf by reverse traversal.
 
     Returns the gradient map {leaf Tensor: gradient array}; leaves that did
-    not participate in the loss are absent. Also stores each gradient in the
-    leaf's `grad` slot.
+    not participate in the loss are absent.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
-    produced = {id(e.output) for e in tape.entries}
     grads = {id(loss): np.ones_like(loss.data)}
     holder = {id(loss): loss}
     for e in reversed(tape.entries):
@@ -418,13 +416,7 @@ def backward(loss, tape):
             else:
                 grads[key] = gi
                 holder[key] = t
-    result = {}
-    for key, g in grads.items():
-        t = holder[key]
-        if t.requires_grad and id(t) not in produced:
-            result[t] = g
-            t.grad = g
-    return result
+    return {holder[key]: g for key, g in grads.items() if holder[key].requires_grad}
 
 
 def grad_check(build_loss, params, step=1e-5):
@@ -438,7 +430,8 @@ def grad_check(build_loss, params, step=1e-5):
     perturbed forwards are split across one forked worker process per CPU
     this process may use, so `build_loss` may run in a worker and the caller
     does not see its side effects. With one CPU, or without the `fork` start
-    method, they run in the caller. An error in a worker is re-raised here.
+    method, they run in the caller. An error in a worker is re-raised here;
+    a worker that dies raises `BrokenProcessPool`, a RuntimeError.
     """
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"grad_check: step must be in (0, 1e-3], got {step}")
@@ -478,7 +471,12 @@ def grad_check(build_loss, params, step=1e-5):
     workers = min(_usable_cpus(), len(coords))
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return worst_of(coords)
-    return max(_map_forked(worst_of, [coords[k::workers] for k in range(workers)]))
+    # Under fork the initializer reaches each worker unpickled, and each
+    # worker perturbs its own copy of the real parameters.
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_share_fn,
+                             initargs=(lambda k: worst_of(coords[k::workers]),)) as pool:
+        return max(pool.map(_run_share, range(workers)))
 
 
 def _usable_cpus():
@@ -487,44 +485,13 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _map_forked(fn, shares):
-    """[fn(share) for share in shares], each call in its own forked process."""
-    ctx = multiprocessing.get_context("fork")
-    jobs = []
-    try:
-        for share in shares:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_result, args=(fn, share, send), daemon=True)
-            proc.start()
-            send.close()
-            jobs.append((proc, recv))
-        results = []
-        for proc, recv in jobs:
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"worker process died with exit code {proc.exitcode}") from None
-            proc.join()
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for proc, recv in jobs:
-            recv.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+def _adopt_share_fn(fn):
+    global _share_fn  # set in a forked grad_check worker, never in the caller
+    _share_fn = fn
 
 
-def _send_result(fn, share, conn):
-    try:
-        result = (True, fn(share))
-    except Exception as exc:  # handed to the caller, which re-raises it
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
+def _run_share(k):
+    return _share_fn(k)
 
 
 # Checkpoint files: little-endian binary, one record per named tensor.

@@ -188,7 +188,6 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
     if config.pretrained_path:
         load_pretrained_vectors(config.pretrained_path, vocab, params)
     opt = AdagradState(params)
-    name_of = {id(t): name for name, t in params.items()}
     keep = 1.0 - config.dropout
     best_ppl = math.inf
     best_arrays = None
@@ -213,11 +212,10 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
                     if not math.isfinite(value):
                         raise TapeError("non-finite loss")
                     for t, g in backward(loss, tape).items():
-                        name = name_of[id(t)]
-                        if name in grad_sum:
-                            grad_sum[name] += g
+                        if t.name in grad_sum:
+                            grad_sum[t.name] += g
                         else:
-                            grad_sum[name] = g.copy()
+                            grad_sum[t.name] = g.copy()
                     epoch_loss += value
                     n_examples += 1
             except TapeError as exc:

@@ -252,16 +252,6 @@ def test_generate_vocab_size_mismatch(pipeline, tmp_path, capsys):
     assert str(vocab_size) in err and str(len(other)) in err
 
 
-def test_generate_mode_mismatch(pipeline, tmp_path, capsys):
-    rc = main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
-               "--input", pipeline["pairs"], "--out", str(tmp_path / "g"),
-               "--mode", "pair2seq"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "pair2seq" in err and "seq2seq" in err
-    assert not (tmp_path / "g").exists()
-
-
 def test_evaluate_requires_reference_source(pipeline, tmp_path, capsys):
     gen = tmp_path / "g.tsv"
     gen.write_text("q1\twhy ?\t-1.0\n", encoding="utf-8")
@@ -348,6 +338,21 @@ def test_failed_generate_keeps_existing_output(pipeline, tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("flag,value,name", [("--nbest", "0", "nbest"),
+                                             ("--nbest", "-1", "nbest"),
+                                             ("--max-len", "0", "max_len")])
+def test_generate_rejects_out_of_range_counts(pipeline, tmp_path, capsys, flag, value, name):
+    out = tmp_path / "existing.tsv"
+    out.write_text("pair-1\told output\t-1.000000\n", encoding="utf-8")
+    rc = main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+               "--input", pipeline["pairs"], "--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{name} must be >= 1, got {value}" in err
+    assert out.read_text(encoding="utf-8") == "pair-1\told output\t-1.000000\n"
+
+
 @pytest.mark.parametrize("answers", [[{"text": "beta", "answer_start": "6"}], ["beta"]],
                          ids=["string-answer-start", "bare-string-answer"])
 def test_align_malformed_answer_is_one_error_line(tmp_path, capsys, answers):
@@ -376,6 +381,20 @@ def test_generate_has_no_seed_option(pipeline, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
               "--input", pipeline["pairs"], "--out", str(tmp_path / "g"), "--seed", "7"])
+
+
+def test_generate_has_no_mode_option(pipeline, tmp_path, capsys):
+    # the checkpoint's sidecar fixes the mode
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("mode=seq2seq\n", encoding="utf-8")
+    rc = main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+               "--input", pipeline["pairs"], "--out", str(tmp_path / "g"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert "unknown key 'mode'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+              "--input", pipeline["pairs"], "--out", str(tmp_path / "g"), "--mode", "seq2seq"])
 
 
 def test_gradcheck_small_fixture(capsys):

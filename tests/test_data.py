@@ -323,6 +323,19 @@ def test_align_question_cap_truncates():
     assert len(pairs[0].answerable_tokens) == 50
 
 
+def test_align_skips_questions_without_tokens():
+    context = "alpha beta gamma"
+    rec = make_paragraph(context, [
+        QuestionRecord("a0", " \t ", False, [("beta", 6)]),
+        QuestionRecord("a1", "where is beta ?", False, [("beta", 6)]),
+        QuestionRecord("u0", "   ", True, [("beta", 6)]),
+        QuestionRecord("u1", "where was beta ?", True, [("beta", 6)]),
+    ])
+    pairs, stats = align_pairs([rec])
+    assert [(p.answerable_id, p.unanswerable_id) for p in pairs] == [("a1", "u1")]
+    assert stats.candidate_pairs == 1
+
+
 # split_holdout
 
 
@@ -410,6 +423,15 @@ def test_load_pairs_rejects_bad_answer_span(tmp_path, start, end):
     with pytest.raises(DatasetError) as exc:
         load_pairs(path)
     assert str(exc.value).startswith(f"{path}:2: ")
+
+
+def test_load_pairs_rejects_empty_answerable_question(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("t\talpha beta\t0\t1\twhat ?\twhy ?\n"
+                    "t\talpha beta\t0\t1\t \twhy ?\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as exc:
+        load_pairs(path)
+    assert str(exc.value) == f"{path}:2: empty answerable question"
 
 
 def test_load_pairs_rejects_bad_field_count(tmp_path):

@@ -31,9 +31,11 @@ from unansqgen.tensor import Tape
 from unansqgen.text import Vocab
 
 
-def toy_setup(mode="seq2seq", seed=13):
+def toy_setup(mode="seq2seq", seed=13, scale=1.0):
     vocab = Vocab(["aa", "bb"])
     params = ModelParams(len(vocab), mode, word_dim=6, enc_hidden=3, seed=seed)
+    for _, t in params.items():
+        t.data *= scale
     tape = Tape()
     enc = encode_input(tape, params, vocab, ["aa", "zz", "bb"], 1, 2, ["bb", "aa"])
     return tape, params, enc, vocab
@@ -159,13 +161,42 @@ def test_top_k_equals_stable_argsort():
             np.testing.assert_array_equal(_top_k(flat, k), want)
 
 
-def test_beam_size_one_equals_greedy():
-    for mode in ("seq2seq", "pair2seq"):
-        for seed in (1, 7, 13):
-            tape, params, enc, vocab = toy_setup(mode, seed)
-            greedy = greedy_decode(tape, params, enc, vocab, max_len=6)
-            top = beam_search(tape, params, enc, vocab, beam_size=1, max_len=6)[0]
-            assert top.surface() == greedy
+def reference_greedy(tape, params, enc, vocab, max_len):
+    """Reference: the argmax loop, one single-row decoder step at a time,
+    UNK zeroed and ties to the lowest index."""
+    state = init_decoder(tape, params, enc)
+    prev_id = text.BOS_ID
+    extended = extended_vocab(enc, vocab)[0]
+    tokens = []
+    for _ in range(max_len):
+        step = decode_step(tape, params, enc, state, prev_id)
+        state = step.state
+        dist, _ = final_distribution(step, enc, vocab)
+        dist[text.UNK_ID] = 0.0
+        idx = int(np.argmax(dist))
+        if idx == text.EOS_ID:
+            break
+        tokens.append(vocab.token(idx) if idx < len(vocab) else extended[idx - len(vocab)])
+        prev_id = idx if idx < len(vocab) else text.UNK_ID
+    return tokens
+
+
+def test_beam_size_one_equals_greedy(memorized_toy):
+    # a widened init makes the greedy path differ from wider beams' best
+    cases = [toy_setup(mode, seed, scale) for mode in ("seq2seq", "pair2seq")
+             for seed in (1, 7, 13) for scale in (1.0, 10.0)]
+    params, vocab, pairs = memorized_toy
+    for pair in pairs:
+        tape = Tape()
+        cases.append((tape, params, encode_input(tape, params, vocab, pair.paragraph_tokens,
+                                                 pair.answer_start, pair.answer_end,
+                                                 pair.answerable_tokens), vocab))
+    for tape, params, enc, vocab in cases:
+        for max_len in (1, 3, 6):
+            want = reference_greedy(tape, params, enc, vocab, max_len)
+            assert greedy_decode(tape, params, enc, vocab, max_len=max_len) == want
+            top = beam_search(tape, params, enc, vocab, beam_size=1, max_len=max_len)[0]
+            assert top.surface() == want
 
 
 def test_unk_never_emitted():
@@ -178,8 +209,10 @@ def test_unk_never_emitted():
 
 def test_beam_rejects_bad_size():
     tape, params, enc, vocab = toy_setup()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="beam_size"):
         beam_search(tape, params, enc, vocab, beam_size=0)
+    with pytest.raises(ValueError, match="max_len"):
+        beam_search(tape, params, enc, vocab, max_len=0)
 
 
 def test_hypothesis_scores_recompute_by_teacher_forcing():
@@ -230,6 +263,49 @@ def test_greedy_is_deterministic_and_bounded():
 def test_score_sequence_unreachable_token():
     tape, params, enc, vocab = toy_setup()
     assert score_sequence(tape, params, enc, vocab, ["nowhere"]) == -math.inf
+    assert score_sequence(tape, params, enc, vocab, ["aa", "nowhere", "bb"]) == -math.inf
+    assert score_sequence(tape, params, enc, vocab, [], include_eos=False) == 0.0
+    # a saturated copy gate gives the copy-only token "zz" probability exactly 0
+    params["gate_b"].data[:] = 50.0
+    assert score_sequence(tape, params, enc, vocab, ["zz"]) == -math.inf
+    assert score_sequence(tape, params, enc, vocab, ["aa"]) > -math.inf
+
+
+def reference_score_sequence(tape, params, enc, vocab, surface_tokens, include_eos):
+    """Reference: one single-row decoder step per token, log-probabilities
+    added in token order."""
+    extra = extended_vocab(enc, vocab)[0]
+    index = {tok: len(vocab) + k for k, tok in enumerate(extra)}
+    state = init_decoder(tape, params, enc)
+    prev_id = text.BOS_ID
+    total = 0.0
+    for tok in list(surface_tokens) + ([text.EOS] if include_eos else []):
+        step = decode_step(tape, params, enc, state, prev_id)
+        state = step.state
+        dist, _ = final_distribution(step, enc, vocab)
+        idx = vocab.id(tok) if tok in vocab else index[tok]
+        total += math.log(dist[idx])
+        prev_id = idx if idx < len(vocab) else text.UNK_ID
+    return total
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_score_sequence_equals_stepwise_reference(mode):
+    kinds = set()
+    for seed in (1, 7, 13, 99):
+        tape, params, enc, vocab = toy_setup(mode, seed)
+        # the toy beams never copy the out-of-vocabulary "zz"; this sequence does
+        sequences = [(["zz", "bb", "zz", "aa"], True), (["zz", "zz"], False)]
+        for beam_size, max_len in ((4, 2), (4, 6), (16, 6)):
+            for h in beam_search(tape, params, enc, vocab, beam_size=beam_size,
+                                 max_len=max_len):
+                kinds.add(h.finished)
+                sequences.append((h.surface(), h.finished))
+        for tokens, finished in sequences:
+            got = score_sequence(tape, params, enc, vocab, tokens, include_eos=finished)
+            want = reference_score_sequence(tape, params, enc, vocab, tokens, finished)
+            assert abs(got - want) <= 1e-12
+    assert kinds == {True, False}
 
 
 def test_partial_hypotheses_returned_when_nothing_finishes():

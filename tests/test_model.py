@@ -537,7 +537,9 @@ def test_load_pretrained_vectors(tmp_path):
         f"aa {vec}\n"
         f"notinvocab {vec}\n"
         "bb 1.0 2.0\n"  # wrong dimension: ignored
-        f"cc {'x ' * (p.word_dim - 1)}y\n",  # unparsable numbers: ignored
+        f"cc {'x ' * (p.word_dim - 1)}y\n"  # unparsable numbers: ignored
+        f"bb {'1.0 ' * (p.word_dim - 1)}nan\n"  # non-finite numbers: ignored
+        f"cc inf {'1.0 ' * (p.word_dim - 2)}-inf\n",
         encoding="utf-8")
     matched = load_pretrained_vectors(path, vocab, p)
     assert matched == 1
