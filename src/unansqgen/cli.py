@@ -194,6 +194,9 @@ def _looks_like_squad(path):
 
 
 def cmd_generate(args):
+    for name, value in (("beam_size", args.beam), ("max_len", args.max_len), ("nbest", args.nbest)):
+        if value < 1:
+            raise CliError(f"generate: {name} must be >= 1, got {value}")
     vocab = text.load_vocab(args.vocab)
     params, _ = ModelParams.load(args.checkpoint)
     if params.vocab_size != len(vocab):

@@ -5,6 +5,12 @@ on a Tape. Calling a primitive validates shapes, computes the forward value
 with numpy, and records a vector-Jacobian closure so `backward` can
 accumulate gradients by reverse traversal.
 
+Weight gradients are summed once per tape: a matmul's `b` and an embedding
+table get deferred pieces instead of a dense gradient per use, and `backward`
+sums each leaf's pieces after the sweep. That order of summation differs from
+one dense gradient per use, so gradients, and trained parameters, can move in
+the last place; the loss does not.
+
 Finiteness is checked where a value is born: a tape checks each output as it
 is produced, and each tensor it did not produce (a leaf, or an output of
 another tape) the first time it reads it, never again. A leaf must therefore
@@ -102,7 +108,10 @@ def _row_softmax(x):
 
 
 # Each forward rule returns (output array, vjp) where vjp maps the output
-# gradient to a list of input gradients aligned with the inputs.
+# gradient to a list of input gradients aligned with the inputs. A gradient
+# is a dense array or a deferred piece: (aop, g, transpose_b) for a matmul's
+# `b`, standing for aop.T @ g (transposed if transpose_b), and (ids, g) for an
+# embedding table, standing for g's rows added at `ids`.
 
 def _fw_matmul(arrays, meta):
     a, b = arrays
@@ -118,8 +127,7 @@ def _fw_matmul(arrays, meta):
 
     def vjp(g):
         da_op = g @ bop.T
-        db_op = aop.T @ g
-        return [da_op.T if ta else da_op, db_op.T if tb else db_op]
+        return [da_op.T if ta else da_op, (aop, g, tb)]  # b's gradient is deferred
 
     return out, vjp
 
@@ -205,12 +213,7 @@ def _fw_embedding(arrays, meta):
         raise TapeError(f"embedding-lookup: id out of range for table shape {table.shape}")
     out = table[ids]
 
-    def vjp(g):
-        dt = np.zeros_like(table)
-        np.add.at(dt, ids, g)
-        return [dt]
-
-    return out, vjp
+    return out, lambda g: [(ids, g)]  # deferred: the table's gradient is built by backward
 
 
 def _fw_max_pool_rows(arrays, meta):
@@ -396,12 +399,20 @@ def backward(loss, tape):
     """Accumulate d(loss)/d(leaf) for every tracked leaf by reverse traversal.
 
     Returns the gradient map {leaf Tensor: gradient array}; leaves that did
-    not participate in the loss are absent.
+    not participate in the loss are absent. Every returned array is new and
+    owned by the caller: none is a view, and no two share memory.
+
+    A deferred piece (see the forward rules) is made dense at once for a
+    tracked non-leaf and dropped for an untracked input. A leaf's pieces are
+    kept until the sweep ends, then summed in one GEMM per transpose flag over
+    the stacked rows and one `np.add.at` over the concatenated ids, and added
+    to the leaf's dense contributions (a bias through `add`, say).
     """
     if loss.data.size != 1:
         raise TapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     grads = {id(loss): np.ones_like(loss.data)}
     holder = {id(loss): loss}
+    pieces = {}  # id(leaf) -> the leaf's deferred pieces
     for e in reversed(tape.entries):
         g = grads.pop(id(e.output), None)
         holder.pop(id(e.output), None)
@@ -411,12 +422,46 @@ def backward(loss, tape):
             if not t._tracked:
                 continue
             key = id(t)
+            if type(gi) is tuple:
+                if t.requires_grad:
+                    pieces.setdefault(key, []).append(gi)
+                    holder.setdefault(key, t)
+                    continue
+                gi = _sum_pieces([gi], t.data)  # complete before the non-leaf's own entry
             if key in grads:
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
-                holder[key] = t
-    return {holder[key]: g for key, g in grads.items() if holder[key].requires_grad}
+                holder.setdefault(key, t)
+    out = {}
+    for key, t in holder.items():
+        if not t.requires_grad:
+            continue
+        g = grads.get(key)
+        if key in pieces:
+            total = _sum_pieces(pieces[key], t.data)
+            g = total if g is None else np.add(total, g, out=total)
+        out[t] = g.copy() if g.base is not None else g
+    return out
+
+
+def _sum_pieces(pieces, like):
+    """The dense sum of deferred pieces: a GEMM per transpose flag, one scatter-add."""
+    total = None
+    for tb in (False, True):
+        group = [p for p in pieces if len(p) == 3 and bool(p[2]) is tb]
+        if group:
+            aops = np.concatenate([p[0] for p in group])
+            gs = np.concatenate([p[1] for p in group])
+            part = gs.T @ aops if tb else aops.T @ gs
+            total = part if total is None else np.add(total, part, out=total)
+    looks = [p for p in pieces if len(p) == 2]
+    if looks:
+        if total is None:
+            total = np.zeros_like(like)
+        np.add.at(total, np.concatenate([p[0] for p in looks]),
+                  np.concatenate([p[1] for p in looks]))
+    return total
 
 
 def grad_check(build_loss, params, step=1e-5):

@@ -215,7 +215,7 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
                         if t.name in grad_sum:
                             grad_sum[t.name] += g
                         else:
-                            grad_sum[t.name] = g.copy()
+                            grad_sum[t.name] = g  # backward's arrays are ours to keep
                     epoch_loss += value
                     n_examples += 1
             except TapeError as exc:

@@ -4,8 +4,10 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
+from unansqgen import tensor
 from unansqgen.data import AlignedPair
 from unansqgen.text import Vocab
 from unansqgen.train import TrainConfig, train
@@ -103,3 +105,44 @@ def real_squad_paths():
         if os.path.exists(train_path) and os.path.exists(dev_path):
             return train_path, dev_path
     return None
+
+
+# Dense per-use reference vjps: each matmul and each embedding lookup hands
+# `backward` a complete dense gradient for every input, as the engine did
+# before weight gradients were deferred to one sum per tape.
+
+def _dense_matmul(arrays, meta):
+    a, b = arrays
+    ta, tb = meta.get("transpose_a", False), meta.get("transpose_b", False)
+    aop = a.T if ta else a
+    bop = b.T if tb else b
+
+    def vjp(g):
+        da_op = g @ bop.T
+        db_op = aop.T @ g
+        return [da_op.T if ta else da_op, db_op.T if tb else db_op]
+
+    return aop @ bop, vjp
+
+
+def _dense_embedding(arrays, meta):
+    table = arrays[0]
+    ids = np.asarray(meta["ids"], dtype=np.int64)
+
+    def vjp(g):
+        dt = np.zeros_like(table)
+        np.add.at(dt, ids, g)
+        return [dt]
+
+    return table[ids], vjp
+
+
+@pytest.fixture
+def dense_vjps(monkeypatch):
+    """Call `dense_vjps(fn)` to run `fn()` with the dense reference vjps recorded."""
+    def run(fn):
+        with monkeypatch.context() as m:
+            m.setitem(tensor._FORWARD, "matmul", _dense_matmul)
+            m.setitem(tensor._FORWARD, "embedding-lookup", _dense_embedding)
+            return fn()
+    return run

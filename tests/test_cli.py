@@ -353,6 +353,24 @@ def test_generate_rejects_out_of_range_counts(pipeline, tmp_path, capsys, flag, 
     assert out.read_text(encoding="utf-8") == "pair-1\told output\t-1.000000\n"
 
 
+@pytest.mark.parametrize("flag,name", [("--beam", "beam_size"), ("--max-len", "max_len"),
+                                       ("--nbest", "nbest")])
+def test_generate_checks_counts_before_reading_input(pipeline, tmp_path, capsys, flag, name):
+    # an empty pair file gives no input to decode, so only an up-front check can fail
+    empty = tmp_path / "empty.pairs"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "existing.tsv"
+    out.write_text("pair-1\told output\t-1.000000\n", encoding="utf-8")
+    rc = main(["generate", "--checkpoint", pipeline["ckpt"], "--vocab", pipeline["vocab"],
+               "--input", str(empty), "--out", str(out), flag, "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"{name} must be >= 1, got 0" in captured.err
+    assert out.read_text(encoding="utf-8") == "pair-1\told output\t-1.000000\n"
+
+
 @pytest.mark.parametrize("answers", [[{"text": "beta", "answer_start": "6"}], ["beta"]],
                          ids=["string-answer-start", "bare-string-answer"])
 def test_align_malformed_answer_is_one_error_line(tmp_path, capsys, answers):

@@ -1,6 +1,7 @@
 """Tape engine tests: forward examples, VJPs vs central differences, checkpoints."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,143 @@ def test_vjp_scale_slice_sum_log():
     _vjp_case(lambda t: t.sum(x), [x])
     pos = parameter(rng.uniform(0.1, 2, (3, 3)))
     _vjp_case(lambda t: t.log(pos), [pos])
+
+
+# deferred weight gradients vs the dense per-use reference (conftest.dense_vjps)
+
+
+def _loss_and_grads(build):
+    loss, tape = build()
+    return float(loss.data), backward(loss, tape)
+
+
+def assert_matches_dense(build, dense_vjps):
+    """build() -> (loss, tape): equal loss, and gradients within 1e-12 x max|g|."""
+    loss, grads = _loss_and_grads(build)
+    want_loss, want = dense_vjps(lambda: _loss_and_grads(build))
+    assert loss == want_loss
+    assert set(grads) == set(want)
+    for t, g in want.items():
+        assert np.max(np.abs(grads[t] - g)) <= 1e-12 * np.max(np.abs(g)), t.name
+    return grads
+
+
+def test_deferred_matmul_leaf_used_with_both_transpose_flags(dense_vjps):
+    # interact_W's pattern: one weight as `b` and as `b.T` in one tape, with
+    # tracked non-leaf left operands
+    rng = np.random.default_rng(31)
+    w = parameter(rng.uniform(-1, 1, (4, 5)), name="w")
+    v = parameter(rng.uniform(-1, 1, (3, 4)), name="v")
+    x = constant(rng.uniform(-1, 1, (6, 3)))
+    y = constant(rng.uniform(-1, 1, (2, 5)))
+
+    def build():
+        tape = Tape()
+        p = tape.tanh(tape.matmul(x, v))
+        s1 = tape.matmul(tape.matmul(p, w), y, transpose_b=True)
+        s2 = tape.matmul(y, w, transpose_b=True)
+        loss = tape.add(tape.sum(tape.tanh(s1)), tape.sum(tape.tanh(s2)))
+        return loss, tape
+
+    assert_matches_dense(build, dense_vjps)
+
+
+def test_deferred_and_dense_contributions_to_one_leaf(dense_vjps):
+    rng = np.random.default_rng(32)
+    w = parameter(rng.uniform(-1, 1, (4, 4)), name="w")
+    table = parameter(rng.uniform(-1, 1, (3, 2)), name="table")
+    x = constant(rng.uniform(-1, 1, (4, 4)))
+
+    def build():
+        tape = Tape()
+        h = tape.tanh(tape.add(tape.matmul(x, w), w))
+        e = tape.tanh(tape.add(tape.embedding(table, [2, 0, 2]), table))
+        return tape.add(tape.sum(h), tape.sum(e)), tape
+
+    assert_matches_dense(build, dense_vjps)
+
+
+def test_deferred_pieces_of_non_leaves_are_made_dense(dense_vjps):
+    rng = np.random.default_rng(33)
+    w0 = parameter(rng.uniform(-1, 1, (3, 4)), name="w0")
+    t0 = parameter(rng.uniform(-1, 1, (5, 2)), name="t0")
+    x = constant(rng.uniform(-1, 1, (2, 3)))
+
+    def build():
+        tape = Tape()
+        b = tape.tanh(w0)  # a tracked non-leaf `b`
+        table = tape.scale(t0, 2.0)  # a tracked non-leaf table
+        h = tape.tanh(tape.matmul(x, b, transpose_b=False))
+        e = tape.tanh(tape.embedding(table, [4, 1, 4, 0]))
+        return tape.add(tape.sum(h), tape.sum(e)), tape
+
+    grads = assert_matches_dense(build, dense_vjps)
+    assert set(grads) == {w0, t0}
+
+
+def test_deferred_lookups_with_repeated_ids(dense_vjps):
+    rng = np.random.default_rng(34)
+    table = parameter(rng.uniform(-1, 1, (6, 3)), name="table")
+    probe = constant(rng.uniform(-1, 1, (9, 3)))
+
+    def build():
+        tape = Tape()
+        rows = tape.stack_rows([tape.embedding(table, ids)
+                                for ids in ([0, 2, 2], [5, 0], [2, 2, 2, 1])])
+        return tape.sum(tape.mul(tape.tanh(rows), probe)), tape
+
+    grads = assert_matches_dense(build, dense_vjps)
+    assert not grads[table][[3, 4]].any()
+
+
+def test_untracked_b_piece_is_dropped_unbuilt(dense_vjps, monkeypatch):
+    rng = np.random.default_rng(35)
+    a = parameter(rng.uniform(-1, 1, (2, 3)), name="a")
+    b = constant(rng.uniform(-1, 1, (3, 4)))
+
+    def build():
+        tape = Tape()
+        return tape.sum(tape.tanh(tape.matmul(a, b))), tape
+
+    grads = assert_matches_dense(build, dense_vjps)
+    assert set(grads) == {a}
+
+    def unexpected(*args):
+        raise AssertionError("a piece for an untracked input was built")
+
+    monkeypatch.setattr(tensor, "_sum_pieces", unexpected)
+    np.testing.assert_array_equal(_loss_and_grads(build)[1][a], grads[a])
+
+
+def test_backward_returns_unshared_arrays():
+    # add's vjp hands both operands views of one gradient
+    a = parameter(np.ones((2, 3)), name="a")
+    b = parameter(np.full((2, 3), 2.0), name="b")
+    tape = Tape()
+    grads = backward(tape.sum(tape.tanh(tape.add(a, b))), tape)
+    assert not np.shares_memory(grads[a], grads[b])
+    assert grads[a].base is None and grads[b].base is None
+
+
+def test_backward_peak_memory_is_one_gradient_per_leaf():
+    # three lookups of one large table and a per-row matmul loop over one
+    # weight: a dense gradient per use would hold about three tables at once
+    rng = np.random.default_rng(36)
+    table = parameter(rng.uniform(-0.1, 0.1, (20000, 64)), name="table")
+    weight = parameter(rng.uniform(-0.1, 0.1, (64, 256)), name="weight")
+    tape = Tape()
+    rows = tape.stack_rows([tape.embedding(table, ids)
+                            for ids in ([1, 5, 7], [5, 19999], [0, 1, 2, 3])])
+    outs = [tape.matmul(tape.slice_rows(rows, r, r + 1), weight) for r in range(9)]
+    loss = tape.sum(tape.tanh(tape.stack_rows(outs)))
+    tracemalloc.start()
+    try:
+        grads = backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(grads) == {table, weight}
+    assert peak < 1.5 * (table.data.nbytes + weight.data.nbytes)
 
 
 # invariants

@@ -158,6 +158,46 @@ def test_sequence_nll_equals_per_step_reference(mode):
         np.testing.assert_allclose(got_grads[name], g, rtol=1e-9, err_msg=name)
 
 
+# Uneven paragraph, question and target lengths; "zz" and "yy" are OOV
+# targets, "zz" also in the paragraph, and one target exceeds max_target_len.
+UNEVEN_PAIRS = [
+    make_pair(["aa", "bb", "zz", "cc"], 1, 3, ["dd", "aa"], ["bb", "zz", "yy", "ee"], k=0),
+    make_pair(["cc", "dd", "ee", "ff", "aa", "bb", "cc"], 0, 2, ["ee", "bb", "ff"], ["aa"], k=1),
+    make_pair(["ff", "aa"], 1, 2, ["cc"], ["dd", "yy", "ff", "aa", "bb", "cc", "dd"], k=2),
+]
+
+
+def _example_grads(params, pair, drop_seed):
+    drops = DropStream(drop_seed, 0.8)
+    tape, loss, _ = train_module._example_loss(params, toy_vocab(), pair, 6, drops=drops)
+    return float(loss.data), {t.name: g for t, g in backward(loss, tape).items()}
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_deferred_gradients_equal_dense_reference(mode, dense_vjps):
+    # Every weight gradient summed once per tape equals the dense per-use sum
+    # of the reference vjps (conftest.dense_vjps), with dropout on.
+    params = small_params(mode)
+    for k, pair in enumerate(UNEVEN_PAIRS):
+        loss, grads = _example_grads(params, pair, (13, 1, k))
+        want_loss, want = dense_vjps(lambda: _example_grads(params, pair, (13, 1, k)))
+        assert loss == want_loss
+        assert set(grads) == set(want) == set(params.tensors)
+        for name, g in want.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_backward_gradients_share_no_memory(mode):
+    # train.train keeps the first example's arrays and adds the rest into
+    # them in place, so no gradient may alias another or a parameter
+    params = small_params(mode)
+    _, grads = _example_grads(params, UNEVEN_PAIRS[0], (13, 1, 0))
+    arrays = list(grads.values()) + [t.data for t in params.tensors.values()]
+    for i, g in enumerate(grads.values()):
+        assert not any(np.shares_memory(g, other) for other in arrays[i + 1:])
+
+
 def test_sequence_nll_oov_target_gets_copy_mass_only():
     # "zz" is OOV but sits in the paragraph: its only credit is copy attention
     vocab = toy_vocab()
