@@ -5,6 +5,13 @@ Both architectures run on the tape from `tensor`; every forward pass builds
 a fresh Tape so gradients fall out of `backward` with no model-side code.
 Parameters live in a name -> Tensor mapping so the optimizer and the
 checkpoint format stay agnostic of the architecture.
+
+The BiLSTM encoder keeps its per-gate, per-direction weights but runs both
+directions as one recurrence: step t reads position t forward and position
+n-1-t backward. Gate columns are gate-major, [i_fw i_bw f_fw f_bw o_fw o_bw
+c_fw c_bw], and the state is a [2H x 1] column, because the tape can split
+rows (`slice_rows`) but not columns: one sigmoid and one tanh cover every
+gate of both directions, and row slices pick i, f and o apart.
 """
 
 from __future__ import annotations
@@ -233,24 +240,52 @@ def _lstm_step(tape, params, prefix, x, h_prev, c_prev):
     return h, c
 
 
-def _run_bilstm(tape, params, emb):
-    """Per-position [forward; backward] states plus each direction's final state."""
-    n = emb.shape[0]
-    h0 = Tensor(np.zeros((1, params.enc_hidden)))
-    rows = [tape.slice_rows(emb, i, i + 1) for i in range(n)]
+def _bilstm_cell(tape, params):
+    """Both encoder directions' weights as (input weights, recurrent, bias),
+    built once per `encode_input` from the per-gate leaves, in gate-major
+    column order: eight [E x H] input blocks, a [2H x 8H] recurrent matrix,
+    block-diagonal by direction, and a [1 x 8H] bias."""
+    e, h = params.word_dim, params.enc_hidden
+    order = [(d, gate) for gate in _GATES for d in ("enc_fw", "enc_bw")]
+    weights = [params[f"{d}_W{gate}"] for d, gate in order]
+    zero = Tensor(np.zeros((h, h)))
+    w_h = [tape.slice_rows(w, e, e + h) for w in weights]
+    recurrent = tape.stack_rows([
+        tape.concat_cols([w if k % 2 == side else zero for k, w in enumerate(w_h)])
+        for side in (0, 1)])
+    bias = tape.concat_cols([params[f"{d}_b{gate}"] for d, gate in order])
+    return [tape.slice_rows(w, 0, e) for w in weights], recurrent, bias
 
-    def run(prefix, xs):
-        h, c = h0, h0
-        out = []
-        for x in xs:
-            h, c = _lstm_step(tape, params, prefix, x, h, c)
-            out.append(h)
-        return out
 
-    fw = run("enc_fw", rows)
-    bw = run("enc_bw", reversed(rows))[::-1]
-    states = tape.concat_cols([tape.stack_rows(fw), tape.stack_rows(bw)])
-    return states, fw[-1], bw[0]
+def _run_bilstm(tape, cell, emb):
+    """Per-position [forward; backward] states plus each direction's final state.
+
+    Both directions step together, as the module docstring lays out. Every
+    gate's input side, bias included, is projected once per sequence, the
+    backward columns over the row-reversed `emb`, and a step picks its row
+    with a one-hot matmul. The [2H x 1] step states become [n x 2H] rows.
+    """
+    w_x, recurrent, bias = cell
+    n, two_h = emb.shape[0], recurrent.shape[0]
+    eye = np.eye(n)
+    reversed_emb = tape.matmul(Tensor(eye[::-1]), emb)
+    proj = tape.add(tape.concat_cols([tape.matmul(reversed_emb if k % 2 else emb, w)
+                                      for k, w in enumerate(w_x)]), bias)
+    h = c = Tensor(np.zeros((two_h, 1)))
+    hs = []
+    for t in range(n):
+        pre = tape.add(tape.matmul(proj, Tensor(eye[:, t:t + 1]), transpose_a=True),
+                       tape.matmul(recurrent, h, transpose_a=True))
+        sig = tape.sigmoid(tape.slice_rows(pre, 0, 3 * two_h))
+        cand = tape.tanh(tape.slice_rows(pre, 3 * two_h, 4 * two_h))
+        i, f, o = (tape.slice_rows(sig, k * two_h, (k + 1) * two_h) for k in range(3))
+        c = tape.add(tape.mul(f, c), tape.mul(i, cand))
+        h = tape.mul(o, tape.tanh(c))
+        hs.append(h)
+    pick = np.eye(two_h)
+    fw = tape.matmul(tape.concat_cols(hs), Tensor(pick[:, :two_h // 2]), transpose_a=True)
+    bw = tape.matmul(tape.concat_cols(hs[::-1]), Tensor(pick[:, two_h // 2:]), transpose_a=True)
+    return tape.concat_cols([fw, bw]), tape.slice_rows(fw, n - 1, n), tape.slice_rows(bw, 0, 1)
 
 
 def embed_inputs(tape, params, token_ids, char_id_lists, type_ids):
@@ -320,7 +355,7 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
         chars = p_chars + [[]] + q_chars
         types = p_types + [text.TYPE_PARAGRAPH] + q_types
         emb = _maybe_drop(tape, embed_inputs(tape, params, ids, chars, types), drops)
-        states, final_fw, final_bw = _run_bilstm(tape, params, emb)
+        states, final_fw, final_bw = _run_bilstm(tape, _bilstm_cell(tape, params), emb)
         states = _maybe_drop(tape, states, drops)
         # copy candidates cover the real source tokens, not the separator
         np_ = len(paragraph_tokens)
@@ -334,8 +369,9 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
 
     emb_p = _maybe_drop(tape, embed_inputs(tape, params, p_ids, p_chars, p_types), drops)
     emb_q = _maybe_drop(tape, embed_inputs(tape, params, q_ids, q_chars, q_types), drops)
-    raw_p, _, _ = _run_bilstm(tape, params, emb_p)
-    raw_q, final_fw, final_bw = _run_bilstm(tape, params, emb_q)
+    cell = _bilstm_cell(tape, params)
+    raw_p, _, _ = _run_bilstm(tape, cell, emb_p)
+    raw_q, final_fw, final_bw = _run_bilstm(tape, cell, emb_q)
     raw_p = _maybe_drop(tape, raw_p, drops)
     raw_q = _maybe_drop(tape, raw_q, drops)
     states_p, states_q = interact(tape, params, raw_p, raw_q)

@@ -5,11 +5,12 @@ on a Tape. Calling a primitive validates shapes, computes the forward value
 with numpy, and records a vector-Jacobian closure so `backward` can
 accumulate gradients by reverse traversal.
 
-Weight gradients are summed once per tape: a matmul's `b` and an embedding
-table get deferred pieces instead of a dense gradient per use, and `backward`
-sums each leaf's pieces after the sweep. That order of summation differs from
-one dense gradient per use, so gradients, and trained parameters, can move in
-the last place; the loss does not.
+Matmul and embedding gradients are summed once per tensor: both operands of
+a matmul and an embedding table get deferred pieces instead of a dense
+gradient per use. `backward` sums a non-leaf's pieces when it reaches the
+entry that produced it, and a leaf's pieces after the sweep. That order of
+summation differs from one dense gradient per use, so gradients, and trained
+parameters, can move in the last place; the loss does not.
 
 Finiteness is checked where a value is born: a tape checks each output as it
 is produced, and each tensor it did not produce (a leaf, or an output of
@@ -109,9 +110,9 @@ def _row_softmax(x):
 
 # Each forward rule returns (output array, vjp) where vjp maps the output
 # gradient to a list of input gradients aligned with the inputs. A gradient
-# is a dense array or a deferred piece: (aop, g, transpose_b) for a matmul's
-# `b`, standing for aop.T @ g (transposed if transpose_b), and (ids, g) for an
-# embedding table, standing for g's rows added at `ids`.
+# is a dense array or a deferred piece: (p, q, transposed) for either operand
+# of a matmul, standing for p.T @ q (transposed if `transposed`), and
+# (ids, g) for an embedding table, standing for g's rows added at `ids`.
 
 def _fw_matmul(arrays, meta):
     a, b = arrays
@@ -126,8 +127,7 @@ def _fw_matmul(arrays, meta):
     out = aop @ bop
 
     def vjp(g):
-        da_op = g @ bop.T
-        return [da_op.T if ta else da_op, (aop, g, tb)]  # b's gradient is deferred
+        return [(g.T, bop.T, ta), (aop, g, tb)]  # both gradients are deferred
 
     return out, vjp
 
@@ -402,58 +402,67 @@ def backward(loss, tape):
     not participate in the loss are absent. Every returned array is new and
     owned by the caller: none is a view, and no two share memory.
 
-    A deferred piece (see the forward rules) is made dense at once for a
-    tracked non-leaf and dropped for an untracked input. A leaf's pieces are
-    kept until the sweep ends, then summed in one GEMM per transpose flag over
-    the stacked rows and one `np.add.at` over the concatenated ids, and added
-    to the leaf's dense contributions (a bias through `add`, say).
+    A deferred piece (see the forward rules) for an untracked input is
+    dropped unbuilt. Every tracked tensor keeps its pieces: a non-leaf's are
+    summed when the sweep reaches the entry that produced it, since its
+    gradient must be complete there, and a leaf's after the sweep. Either
+    sum is added to the tensor's dense contributions (a bias through `add`,
+    say).
     """
     if loss.data.size != 1:
         raise TapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     grads = {id(loss): np.ones_like(loss.data)}
     holder = {id(loss): loss}
-    pieces = {}  # id(leaf) -> the leaf's deferred pieces
+    pieces = {}  # id(tensor) -> the tensor's deferred pieces
+
+    def total(key, t):
+        g = grads.pop(key, None)
+        if key in pieces:
+            summed = _sum_pieces(pieces.pop(key), t.data)
+            g = summed if g is None else np.add(summed, g, out=summed)
+        return g
+
     for e in reversed(tape.entries):
-        g = grads.pop(id(e.output), None)
-        holder.pop(id(e.output), None)
+        key = id(e.output)
+        holder.pop(key, None)
+        g = total(key, e.output)
         if g is None:
             continue
         for t, gi in zip(e.inputs, e.vjp(g)):
             if not t._tracked:
                 continue
             key = id(t)
+            holder.setdefault(key, t)
             if type(gi) is tuple:
-                if t.requires_grad:
-                    pieces.setdefault(key, []).append(gi)
-                    holder.setdefault(key, t)
-                    continue
-                gi = _sum_pieces([gi], t.data)  # complete before the non-leaf's own entry
-            if key in grads:
+                pieces.setdefault(key, []).append(gi)
+            elif key in grads:
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
-                holder.setdefault(key, t)
     out = {}
     for key, t in holder.items():
-        if not t.requires_grad:
-            continue
-        g = grads.get(key)
-        if key in pieces:
-            total = _sum_pieces(pieces[key], t.data)
-            g = total if g is None else np.add(total, g, out=total)
-        out[t] = g.copy() if g.base is not None else g
+        if t.requires_grad:
+            g = total(key, t)
+            out[t] = g.copy() if g.base is not None else g
     return out
 
 
 def _sum_pieces(pieces, like):
-    """The dense sum of deferred pieces: a GEMM per transpose flag, one scatter-add."""
+    """The dense sum of deferred pieces shaped like `like`.
+
+    Matmul pieces are summed per transpose flag. A flag's pieces are stacked
+    into one GEMM only when the stacked operands hold no more elements than
+    one output per piece: stacking a few pieces with large operands, such as
+    a weight's transpose, would copy them whole.
+    """
     total = None
-    for tb in (False, True):
-        group = [p for p in pieces if len(p) == 3 and bool(p[2]) is tb]
-        if group:
-            aops = np.concatenate([p[0] for p in group])
-            gs = np.concatenate([p[1] for p in group])
-            part = gs.T @ aops if tb else aops.T @ gs
+    for flag in (False, True):
+        group = [p for p in pieces if len(p) == 3 and bool(p[2]) is flag]
+        if len(group) > 1 and sum(p.size + q.size for p, q, _ in group) <= len(group) * like.size:
+            group = [(np.concatenate([p for p, _, _ in group]),
+                      np.concatenate([q for _, q, _ in group]), flag)]
+        for p, q, _ in group:
+            part = q.T @ p if flag else p.T @ q
             total = part if total is None else np.add(total, part, out=total)
     looks = [p for p in pieces if len(p) == 2]
     if looks:

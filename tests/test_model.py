@@ -11,6 +11,7 @@ from unansqgen.model import (
     EncodedInput,
     ModelError,
     ModelParams,
+    _bilstm_cell,
     _run_bilstm,
     decode_step,
     embed_inputs,
@@ -207,12 +208,17 @@ def test_token_types_answer_span_and_separator():
     assert np.any(g[TYPE_ANSWER] != 0) and np.any(g[TYPE_QUESTION] != 0)
 
 
+def bilstm(params, emb):
+    tape = Tape()
+    return _run_bilstm(tape, _bilstm_cell(tape, params), emb)
+
+
 def test_bilstm_same_weights_same_states():
     p = small_params("pair2seq")
     rng = np.random.default_rng(3)
     emb = Tensor(rng.uniform(-1, 1, (4, p.word_dim)))
-    s1, f1, b1 = _run_bilstm(Tape(), p, emb)
-    s2, f2, b2 = _run_bilstm(Tape(), p, emb)
+    s1, f1, b1 = bilstm(p, emb)
+    s2, f2, b2 = bilstm(p, emb)
     np.testing.assert_array_equal(s1.data, s2.data)
     np.testing.assert_array_equal(f1.data, f2.data)
     np.testing.assert_array_equal(b1.data, b2.data)
@@ -225,8 +231,8 @@ def test_bilstm_reversal_semantics():
     rev = emb[::-1].copy()
     h = p.enc_hidden
 
-    states, _, _ = _run_bilstm(Tape(), p, Tensor(emb))
-    states_r, _, _ = _run_bilstm(Tape(), p, Tensor(rev))
+    states, _, _ = bilstm(p, Tensor(emb))
+    states_r, _, _ = bilstm(p, Tensor(rev))
     # directions hold distinct weights: reversal changes the forward half
     assert not np.allclose(states.data[:, :h], states_r.data[::-1, :h])
 
@@ -234,8 +240,8 @@ def test_bilstm_reversal_semantics():
     for gate in ("i", "f", "o", "c"):
         p[f"enc_bw_W{gate}"].data = p[f"enc_fw_W{gate}"].data.copy()
         p[f"enc_bw_b{gate}"].data = p[f"enc_fw_b{gate}"].data.copy()
-    states, _, _ = _run_bilstm(Tape(), p, Tensor(emb))
-    states_r, _, _ = _run_bilstm(Tape(), p, Tensor(rev))
+    states, _, _ = bilstm(p, Tensor(emb))
+    states_r, _, _ = bilstm(p, Tensor(rev))
     swapped = np.concatenate([states.data[:, h:], states.data[:, :h]], axis=1)
     np.testing.assert_allclose(states_r.data, swapped[::-1], atol=1e-12)
 

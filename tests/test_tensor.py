@@ -357,23 +357,101 @@ def test_deferred_lookups_with_repeated_ids(dense_vjps):
     assert not grads[table][[3, 4]].any()
 
 
-def test_untracked_b_piece_is_dropped_unbuilt(dense_vjps, monkeypatch):
-    rng = np.random.default_rng(35)
-    a = parameter(rng.uniform(-1, 1, (2, 3)), name="a")
-    b = constant(rng.uniform(-1, 1, (3, 4)))
+def test_deferred_matmul_leaf_a_used_with_both_transpose_flags(dense_vjps):
+    rng = np.random.default_rng(38)
+    w = parameter(rng.uniform(-1, 1, (3, 4)), name="w")
+    x = constant(rng.uniform(-1, 1, (4, 5)))
+    y = constant(rng.uniform(-1, 1, (3, 2)))
 
     def build():
         tape = Tape()
-        return tape.sum(tape.tanh(tape.matmul(a, b))), tape
+        s1 = tape.matmul(w, x)
+        s2 = tape.matmul(w, y, transpose_a=True)
+        return tape.add(tape.sum(tape.tanh(s1)), tape.sum(tape.tanh(s2))), tape
 
-    grads = assert_matches_dense(build, dense_vjps)
-    assert set(grads) == {a}
+    assert_matches_dense(build, dense_vjps)
 
-    def unexpected(*args):
-        raise AssertionError("a piece for an untracked input was built")
 
-    monkeypatch.setattr(tensor, "_sum_pieces", unexpected)
-    np.testing.assert_array_equal(_loss_and_grads(build)[1][a], grads[a])
+def test_deferred_pieces_of_a_non_leaf_a_used_three_times(dense_vjps):
+    rng = np.random.default_rng(39)
+    v = parameter(rng.uniform(-1, 1, (3, 4)), name="v")
+    w1 = parameter(rng.uniform(-1, 1, (4, 2)), name="w1")
+    w2 = parameter(rng.uniform(-1, 1, (4, 5)), name="w2")
+    y = constant(rng.uniform(-1, 1, (3, 6)))
+
+    def build():
+        tape = Tape()
+        a = tape.tanh(v)
+        s = [tape.matmul(a, w1), tape.matmul(a, w2), tape.matmul(a, y, transpose_a=True)]
+        loss = tape.sum(tape.tanh(s[0]))
+        for t in s[1:]:
+            loss = tape.add(loss, tape.sum(tape.tanh(t)))
+        return loss, tape
+
+    assert_matches_dense(build, dense_vjps)
+
+
+def test_deferred_pieces_of_one_leaf_as_both_operands(dense_vjps):
+    rng = np.random.default_rng(40)
+    w = parameter(rng.uniform(-1, 1, (3, 4)), name="w")
+
+    def build():
+        tape = Tape()
+        return tape.sum(tape.tanh(tape.matmul(w, w, transpose_b=True))), tape
+
+    assert_matches_dense(build, dense_vjps)
+
+
+def test_deferred_a_pieces_and_dense_contributions_to_one_non_leaf(dense_vjps):
+    rng = np.random.default_rng(41)
+    v = parameter(rng.uniform(-1, 1, (3, 4)), name="v")
+    w = parameter(rng.uniform(-1, 1, (4, 5)), name="w")
+    probe = constant(rng.uniform(-1, 1, (3, 4)))
+
+    def build():
+        tape = Tape()
+        a = tape.tanh(v)
+        loss = tape.add(tape.sum(tape.tanh(tape.matmul(a, w))),
+                        tape.sum(tape.mul(tape.tanh(a), probe)))
+        return loss, tape
+
+    assert_matches_dense(build, dense_vjps)
+
+
+def test_untracked_b_piece_is_dropped_unbuilt(dense_vjps, monkeypatch):
+    # A matmul's piece for one operand holds the other operand's data, so the
+    # leaf's own piece holds the constant's and a piece holding the leaf's
+    # data is the constant's, which nothing needs. Checked with the constant
+    # as `b` and as `a`.
+    rng = np.random.default_rng(35)
+    seen = []
+    real = tensor._sum_pieces
+
+    def probe(pieces, like):
+        seen.extend(pieces)
+        return real(pieces, like)
+
+    for leaf_is_a in (True, False):
+        leaf = parameter(rng.uniform(-1, 1, (2, 3) if leaf_is_a else (3, 4)), name="leaf")
+        const = constant(rng.uniform(-1, 1, (3, 4) if leaf_is_a else (2, 3)))
+        operands = (leaf, const) if leaf_is_a else (const, leaf)
+
+        def build():
+            tape = Tape()
+            return tape.sum(tape.tanh(tape.matmul(*operands))), tape
+
+        grads = assert_matches_dense(build, dense_vjps)
+        assert set(grads) == {leaf}
+
+        loss, tape = build()
+        entry = next(e for e in tape.entries if e.kind == "matmul")
+        assert all(type(gi) is tuple for gi in entry.vjp(np.ones(entry.output.shape)))
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tensor, "_sum_pieces", probe)
+            np.testing.assert_array_equal(backward(loss, tape)[leaf], grads[leaf])
+        assert seen
+        assert not any(np.shares_memory(x, leaf.data) for piece in seen for x in piece[:2])
 
 
 def test_backward_returns_unshared_arrays():
@@ -405,6 +483,42 @@ def test_backward_peak_memory_is_one_gradient_per_leaf():
         tracemalloc.stop()
     assert set(grads) == {table, weight}
     assert peak < 1.5 * (table.data.nbytes + weight.data.nbytes)
+
+
+def test_backward_sums_a_non_leafs_pieces_without_copying_a_weight():
+    # `features` reaches a V-wide weight and a one-column weight as matmul's
+    # `a`, as the output layer's does: its two pieces hold the transposes of
+    # both weights, and stacking them would copy the big one whole
+    rng = np.random.default_rng(37)
+    x = parameter(rng.uniform(-0.1, 0.1, (13, 900)), name="x")
+    big = parameter(rng.uniform(-0.1, 0.1, (900, 20000)), name="big")
+    small = parameter(rng.uniform(-0.1, 0.1, (900, 1)), name="small")
+    tape = Tape()
+    features = tape.tanh(x)
+    loss = tape.add(tape.sum(tape.log(tape.row_softmax(tape.matmul(features, big)))),
+                    tape.sum(tape.sigmoid(tape.matmul(features, small))))
+    real = tensor._sum_pieces
+    sums = []
+
+    def probe(pieces, like):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        total = real(pieces, like)
+        sums.append((like.shape, tracemalloc.get_traced_memory()[1] - start))
+        return total
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(tensor, "_sum_pieces", probe)
+            grads = backward(loss, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(grads) == {x, big, small}
+    assert peak < 1.5 * big.data.nbytes
+    # the non-leaf's sum, inside the sweep, allocates far less than the weight
+    assert [grown for shape, grown in sums if shape == features.shape][0] < 0.1 * big.data.nbytes
 
 
 # invariants
