@@ -10,14 +10,15 @@ def _ngram_counts(tokens, n):
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _corpus_score(name, triples, max_n):
-    """Corpus BLEU over (source, hypothesis, reference) triples, with GLEU's
-    source penalty taken from each non-empty source."""
+def _order_sums(name, triples, max_n):
+    """Per-order corpus sums over (source, hypothesis, reference) triples:
+    {"bleu": matches, "gleu": matches less each non-empty source's penalty},
+    hypothesis n-gram totals, and the hypothesis and reference lengths."""
     if not triples:
         raise ValueError(f"{name}: empty corpus")
     if max_n < 1:
         raise ValueError(f"{name}: max_n must be positive")
-    matches = [0] * max_n
+    matches = {"bleu": [0] * max_n, "gleu": [0] * max_n}
     totals = [0] * max_n
     hyp_len = ref_len = 0
     for src, hyp, ref in triples:
@@ -27,14 +28,22 @@ def _corpus_score(name, triples, max_n):
             hyp_counts = _ngram_counts(hyp, n)
             ref_counts = _ngram_counts(ref, n)
             matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            matches["bleu"][n - 1] += matched
             if src:
                 # An n-gram absent from the source has a penalty of 0.
                 src_counts = _ngram_counts(src, n)
                 matched = max(0, matched - sum(
                     min(c, src_counts[g]) - min(c, src_counts[g], ref_counts[g])
                     for g, c in hyp_counts.items() if g in src_counts))
-            matches[n - 1] += matched
+            matches["gleu"][n - 1] += matched
             totals[n - 1] += sum(hyp_counts.values())
+    return matches, totals, hyp_len, ref_len
+
+
+def _score(sums, name, max_n):
+    """Corpus BLEU or GLEU, by `name`, from `_order_sums` of orders 1..max_n."""
+    matches, totals, hyp_len, ref_len = sums
+    matches, totals = matches[name][:max_n], totals[:max_n]
     if hyp_len == 0 or any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
     log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / max_n
@@ -49,7 +58,7 @@ def bleu(pairs, max_n=4):
     mean with uniform weights, brevity penalty exp(1 - r/c) when c < r.
     Any zero precision gives 0 (no smoothing).
     """
-    return _corpus_score("bleu", [((), hyp, ref) for hyp, ref in pairs], max_n)
+    return _score(_order_sums("bleu", [((), h, r) for h, r in pairs], max_n), "bleu", max_n)
 
 
 def gleu(triples, max_n=4):
@@ -63,7 +72,7 @@ def gleu(triples, max_n=4):
     summed over n-gram types g, with the reduced numerator floored at 0.
     An empty source gives the BLEU numerator.
     """
-    return _corpus_score("gleu", triples, max_n)
+    return _score(_order_sums("gleu", triples, max_n), "gleu", max_n)
 
 
 def _prf(overlap, ref_total, hyp_total):
@@ -112,15 +121,9 @@ def metric_report(triples):
     Returns an ordered dict of metric name -> float. The ROUGE headline
     is f1; recall and precision are included alongside.
     """
-    if not triples:
-        raise ValueError("metric_report: empty corpus")
+    sums = _order_sums("metric_report", triples, 4)  # counted once for all four scores
+    report = {f"{name}_{n}": _score(sums, name, n) for name in ("bleu", "gleu") for n in (3, 4)}
     pairs = [(h, r) for _, h, r in triples]
-    report = {
-        "bleu_3": bleu(pairs, max_n=3),
-        "bleu_4": bleu(pairs, max_n=4),
-        "gleu_3": gleu(triples, max_n=3),
-        "gleu_4": gleu(triples, max_n=4),
-    }
     rouges = {"2": lambda h, r: rouge_n(h, r, 2), "3": lambda h, r: rouge_n(h, r, 3),
               "l": rouge_l}
     for name, fn in rouges.items():

@@ -8,9 +8,9 @@ accumulate gradients by reverse traversal.
 Matmul and embedding gradients are summed once per tensor: both operands of
 a matmul and an embedding table get deferred pieces instead of a dense
 gradient per use. `backward` sums a non-leaf's pieces when it reaches the
-entry that produced it, and a leaf's pieces after the sweep. That order of
-summation differs from one dense gradient per use, so gradients, and trained
-parameters, can move in the last place; the loss does not.
+entry that produced it, and a leaf's after the sweep (or a batch's sweeps).
+That order of summation differs from one dense gradient per use, so
+gradients and trained parameters can move in the last place, not the loss.
 
 Finiteness is checked where a value is born: a tape checks each output as it
 is produced, and each tensor it did not produce (a leaf, or an output of
@@ -83,7 +83,9 @@ def parameter(data, name=None):
 
 
 def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    """Sum `grad` down to `shape`, undoing numpy broadcasting; `grad` itself if it has `shape`."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -139,7 +141,7 @@ def _fw_add(arrays, meta):
     except ValueError:
         raise TapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from None
 
-    def vjp(g):
+    def vjp(g):  # a same-shape operand gets g itself; `backward` copies it if it must
         return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
 
     return out, vjp
@@ -395,7 +397,7 @@ class Tape:
         return self.primitive("log", [x])
 
 
-def backward(loss, tape):
+def backward(loss, tape, leaf_pieces=None):
     """Accumulate d(loss)/d(leaf) for every tracked leaf by reverse traversal.
 
     Returns the gradient map {leaf Tensor: gradient array}; leaves that did
@@ -408,24 +410,23 @@ def backward(loss, tape):
     gradient must be complete there, and a leaf's after the sweep. Either
     sum is added to the tensor's dense contributions (a bias through `add`,
     say).
+
+    Given a dict `leaf_pieces`, each leaf's pieces are appended to
+    `leaf_pieces[leaf]` unsummed and the map holds only dense parts, so one
+    dict carried across a batch's tapes lets `sum_gradients` build each
+    weight's gradient once per batch.
     """
     if loss.data.size != 1:
         raise TapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     grads = {id(loss): np.ones_like(loss.data)}
     holder = {id(loss): loss}
     pieces = {}  # id(tensor) -> the tensor's deferred pieces
-
-    def total(key, t):
-        g = grads.pop(key, None)
-        if key in pieces:
-            summed = _sum_pieces(pieces.pop(key), t.data)
-            g = summed if g is None else np.add(summed, g, out=summed)
-        return g
+    passed = set()  # ids of arrays a vjp handed on unchanged: pieces or other leaves may hold them
 
     for e in reversed(tape.entries):
         key = id(e.output)
         holder.pop(key, None)
-        g = total(key, e.output)
+        g = _plus_pieces(grads.pop(key, None), pieces.pop(key, None), e.output)
         if g is None:
             continue
         for t, gi in zip(e.inputs, e.vjp(g)):
@@ -439,12 +440,30 @@ def backward(loss, tape):
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
+                if gi is g:
+                    passed.add(id(gi))
     out = {}
     for key, t in holder.items():
         if t.requires_grad:
-            g = total(key, t)
-            out[t] = g.copy() if g.base is not None else g
+            if leaf_pieces is not None:
+                leaf_pieces.setdefault(t, []).extend(pieces.pop(key, ()))
+            g = _plus_pieces(grads.pop(key, None), pieces.pop(key, None), t)
+            if g is not None:
+                out[t] = g.copy() if g.base is not None or id(g) in passed else g
     return out
+
+
+def sum_gradients(leaf_pieces, dense):
+    """{leaf: its collected pieces summed, plus `dense[leaf]`}, in `leaf_pieces` order."""
+    return {t: _plus_pieces(dense.get(t), found, t) for t, found in leaf_pieces.items()}
+
+
+def _plus_pieces(g, pieces, t):
+    """Dense gradient `g` (or None) plus the sum of `pieces` for tensor `t`."""
+    if not pieces:
+        return g
+    summed = _sum_pieces(pieces, t.data)
+    return summed if g is None else np.add(summed, g, out=summed)
 
 
 def _sum_pieces(pieces, like):

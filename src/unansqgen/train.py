@@ -12,7 +12,7 @@ from . import text
 from .model import (MODES, DropStream, ModelParams, encode_input, decode_steps,
                     init_decoder, load_pretrained_vectors)
 from .model import decode_step  # noqa: F401  perfbench/tracing.py patches train.decode_step
-from .tensor import Tape, Tensor, TapeError, backward
+from .tensor import Tape, Tensor, TapeError, backward, sum_gradients
 
 
 class TrainingError(RuntimeError):
@@ -98,7 +98,7 @@ class AdagradState:
 _BLOCK = 1 << 16  # elements per slice of an Adagrad update
 
 
-def adagrad_step(params, grads, state, lr=0.15, clip=5.0):
+def adagrad_step(params, grads, state, lr, clip):
     """One Adagrad update from batch-averaged gradients.
 
     The global gradient norm is clipped to `clip` first, then each
@@ -173,9 +173,12 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
     Returns (params holding the best arrays, per-epoch history). Batch
     gradients are per-example sums averaged over the batch; examples are
     re-shuffled each epoch and length-bucketed for padding-free batches.
-    Each history entry holds epoch, train_loss, holdout_ppl, seconds and
-    skipped_steps, the optimizer steps skipped that epoch for a non-finite
-    gradient.
+    The weights' deferred pieces are carried across a batch's tapes and
+    summed once per batch (see `tensor.backward`), so gradients, and so
+    checkpoints, can move in the last place. Parameters are copied only after
+    an improving epoch that is not the last. Each history entry holds epoch,
+    train_loss, holdout_ppl, seconds and skipped_steps, the optimizer steps
+    skipped that epoch for a non-finite gradient.
     """
     config.validate()
     if not train_pairs:
@@ -201,7 +204,7 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
         skipped_before = opt.skipped
         for bi, batch in enumerate(_bucketed_batches(order, train_pairs, config.batch_size,
                                                      _BUCKET_WINDOW, rng)):
-            grad_sum = {}
+            leaf_pieces, dense = {}, {}
             try:
                 for ei in batch:
                     drops = (DropStream((config.seed, epoch, int(ei)), keep)
@@ -211,18 +214,20 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
                     value = float(loss.data)
                     if not math.isfinite(value):
                         raise TapeError("non-finite loss")
-                    for t, g in backward(loss, tape).items():
-                        if t.name in grad_sum:
-                            grad_sum[t.name] += g
+                    for t, g in backward(loss, tape, leaf_pieces).items():
+                        if t in dense:
+                            dense[t] += g
                         else:
-                            grad_sum[t.name] = g  # backward's arrays are ours to keep
+                            dense[t] = g  # backward's arrays are ours to keep
+                    del tape, loss  # freed before the next forward; pieces keep what the sum needs
                     epoch_loss += value
                     n_examples += 1
             except TapeError as exc:
                 raise TrainingError(f"epoch {epoch} batch {bi}: {exc}") from None
-            for g in grad_sum.values():
+            grads = {t.name: g for t, g in sum_gradients(leaf_pieces, dense).items()}
+            for g in grads.values():
                 g /= len(batch)
-            adagrad_step(params, grad_sum, opt, config.learning_rate, config.clip_norm)
+            adagrad_step(params, grads, opt, config.learning_rate, config.clip_norm)
         ppl = perplexity(params, holdout_pairs, vocab, config.max_target_len)
         entry = {
             "epoch": epoch,
@@ -236,8 +241,9 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
             log(f"epoch {entry['epoch']} loss {entry['train_loss']:.4f} "
                 f"holdout_ppl {entry['holdout_ppl']:.4f} time {entry['seconds']:.1f}s "
                 f"skipped_steps {entry['skipped_steps']}")
-        if ppl < best_ppl:
+        if ppl < best_ppl:  # the last epoch's arrays need no copy: they are returned as they are
             best_ppl = ppl
-            best_arrays = params.copy_arrays()
-    params.set_arrays(best_arrays)
+            best_arrays = params.copy_arrays() if epoch < config.epochs else None
+    if best_arrays is not None:
+        params.set_arrays(best_arrays)
     return params, history

@@ -339,3 +339,19 @@ def test_bleu_and_gleu_keep_their_error_names():
         gleu([(["a"], ["a"], ["a"])], max_n=0)
     with pytest.raises(ValueError, match="^bleu: empty"):
         bleu([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_sentences, _sentences, _sentences), min_size=1, max_size=5),
+       st.booleans())
+def test_metric_report_equals_the_four_separate_scores(triples, empty_sources):
+    # the report counts each order once per triple; its BLEU/GLEU entries must
+    # be the very floats of separate bleu/gleu calls, zero-match orders included
+    if empty_sources:
+        triples = [([], hyp, ref) for _, hyp, ref in triples]
+    pairs = [(hyp, ref) for _, hyp, ref in triples]
+    report = metric_report(triples)
+    want = {"bleu_3": bleu(pairs, max_n=3), "bleu_4": bleu(pairs, max_n=4),
+            "gleu_3": gleu(triples, max_n=3), "gleu_4": gleu(triples, max_n=4)}
+    assert list(report)[:4] == list(want)
+    assert {k: report[k] for k in want} == want

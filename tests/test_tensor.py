@@ -455,13 +455,38 @@ def test_untracked_b_piece_is_dropped_unbuilt(dense_vjps, monkeypatch):
 
 
 def test_backward_returns_unshared_arrays():
-    # add's vjp hands both operands views of one gradient
+    # add's vjp hands both same-shape operands the one gradient array itself;
+    # checked with and without a dict collecting the leaves' pieces
     a = parameter(np.ones((2, 3)), name="a")
     b = parameter(np.full((2, 3), 2.0), name="b")
     tape = Tape()
-    grads = backward(tape.sum(tape.tanh(tape.add(a, b))), tape)
-    assert not np.shares_memory(grads[a], grads[b])
-    assert grads[a].base is None and grads[b].base is None
+    loss = tape.sum(tape.tanh(tape.add(a, b)))
+    for grads in (backward(loss, tape), backward(loss, tape, {})):
+        assert set(grads) == {a, b}
+        assert not np.shares_memory(grads[a], grads[b])
+        assert grads[a].base is None and grads[b].base is None
+        before = grads[b].copy()
+        grads[a] /= 2
+        np.testing.assert_array_equal(grads[b], before)
+
+
+def test_collected_pieces_survive_in_place_dense_updates():
+    # the bias's dense gradient is the array the weight's matmul piece holds;
+    # a caller adding into the dense part must not change the weight's sum
+    rng = np.random.default_rng(4)
+    x = constant(rng.normal(size=(3, 4)))
+    w = parameter(rng.normal(size=(4, 5)), name="w")
+    bias = parameter(rng.normal(size=(3, 5)), name="bias")
+    tape = Tape()
+    loss = tape.sum(tape.tanh(tape.add(tape.matmul(x, w), bias)))
+    want = backward(loss, tape)
+    leaf_pieces = {}
+    dense = backward(loss, tape, leaf_pieces)
+    assert set(dense) == {bias} and list(leaf_pieces) == list(want)
+    dense[bias] += 1.0
+    got = tensor.sum_gradients(leaf_pieces, dense)
+    np.testing.assert_array_equal(got[w], want[w])
+    np.testing.assert_array_equal(got[bias], want[bias] + 1.0)
 
 
 def test_backward_peak_memory_is_one_gradient_per_leaf():

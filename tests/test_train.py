@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from unansqgen import tensor
 from unansqgen import train as train_module
 from unansqgen.data import AlignedPair
 from unansqgen.model import (DropStream, ModelParams, decode_step, encode_input,
@@ -187,6 +188,106 @@ def test_deferred_gradients_equal_dense_reference(mode, dense_vjps):
             assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
 
+def backward_per_tape(loss, tape):
+    """A test-only copy of `tensor.backward` before pieces could be carried
+    across tapes: every leaf's pieces are summed at the end of its own tape."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    holder = {id(loss): loss}
+    pieces = {}
+
+    def total(key, t):
+        g = grads.pop(key, None)
+        if key in pieces:
+            summed = tensor._sum_pieces(pieces.pop(key), t.data)
+            g = summed if g is None else np.add(summed, g, out=summed)
+        return g
+
+    for e in reversed(tape.entries):
+        key = id(e.output)
+        holder.pop(key, None)
+        g = total(key, e.output)
+        if g is None:
+            continue
+        for t, gi in zip(e.inputs, e.vjp(g)):
+            if not t._tracked:
+                continue
+            key = id(t)
+            holder.setdefault(key, t)
+            if type(gi) is tuple:
+                pieces.setdefault(key, []).append(gi)
+            elif key in grads:
+                grads[key] = grads[key] + gi
+            else:
+                grads[key] = gi
+    return {t: total(key, t) for key, t in holder.items() if t.requires_grad}
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_plain_backward_is_bit_identical_to_the_per_tape_sum(mode):
+    # without a pieces dict, backward returns what it returned before; with
+    # one, a single tape's pieces summed by sum_gradients give the same bits
+    params = small_params(mode)
+    for k, pair in enumerate(UNEVEN_PAIRS):
+        tape, loss, _ = train_module._example_loss(params, toy_vocab(), pair, 6,
+                                                   drops=DropStream((13, 1, k), 0.8))
+        want = backward_per_tape(loss, tape)
+        leaf_pieces = {}
+        dense = backward(loss, tape, leaf_pieces)
+        for got in (backward(loss, tape), tensor.sum_gradients(leaf_pieces, dense)):
+            assert list(got) == list(want)
+            for t, g in want.items():
+                np.testing.assert_array_equal(got[t], g, err_msg=t.name)
+
+
+def _train_one_batch(params, mode, monkeypatch):
+    """The gradients `train` hands Adagrad for one batch of UNEVEN_PAIRS."""
+    seen = []
+    real_step = train_module.adagrad_step
+
+    def capture(params, grads, state, *args):
+        seen.append({name: g.copy() for name, g in grads.items()})
+        return real_step(params, grads, state, *args)
+
+    monkeypatch.setattr(train_module, "adagrad_step", capture)
+    config = TrainConfig(mode=mode, epochs=1, batch_size=len(UNEVEN_PAIRS), dropout=0.2,
+                         max_target_len=6, word_dim=6, enc_hidden=3, seed=13)
+    train(config, UNEVEN_PAIRS, UNEVEN_PAIRS[:1], toy_vocab(), params=params)
+    (grads,) = seen
+    return grads
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_batch_gradients_equal_the_sum_of_per_example_maps(mode, monkeypatch):
+    # uneven lengths, OOV and truncated targets, dropout on: the pieces
+    # carried across the batch's tapes sum to the per-example maps' mean
+    params = small_params(mode)
+    want = {}
+    for k, pair in enumerate(UNEVEN_PAIRS):
+        _, grads = _example_grads(params, pair, (13, 1, k))
+        for name, g in grads.items():
+            want[name] = want[name] + g if name in want else g
+    got = _train_one_batch(params, mode, monkeypatch)
+    assert set(got) == set(want) == set(params.tensors)
+    for name, g in want.items():
+        g = g / len(UNEVEN_PAIRS)
+        assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+def test_train_builds_each_vocabulary_wide_gradient_once_per_batch(monkeypatch):
+    params = small_params("pair2seq")
+    wide = {"out_W": params["out_W"].data, "word_emb": params["word_emb"].data}
+    built = []
+    real = tensor._sum_pieces
+
+    def probe(pieces, like):
+        built.extend(name for name, data in wide.items() if like is data)
+        return real(pieces, like)
+
+    monkeypatch.setattr(tensor, "_sum_pieces", probe)
+    _train_one_batch(params, "pair2seq", monkeypatch)
+    assert sorted(built) == ["out_W", "word_emb"]  # not once per example
+
+
 @pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
 def test_backward_gradients_share_no_memory(mode):
     # train.train keeps the first example's arrays and adds the rest into
@@ -308,7 +409,7 @@ def test_adagrad_second_identical_step_is_smaller():
 def test_adagrad_skips_nonfinite_gradients():
     params = one_tensor_params(1.0)
     state = AdagradState(params)
-    applied = adagrad_step(params, {"w": np.array([[float("nan")]])}, state)
+    applied = adagrad_step(params, {"w": np.array([[float("nan")]])}, state, lr=0.15, clip=5.0)
     assert not applied
     assert state.skipped == 1
     assert params["w"].data[0, 0] == 1.0
@@ -341,7 +442,7 @@ def test_adagrad_accumulators_nondecreasing():
     prev = {n: a.copy() for n, a in state.acc.items()}
     for _ in range(3):
         grads = {n: rng.normal(size=t.data.shape) for n, t in params.items()}
-        adagrad_step(params, grads, state)
+        adagrad_step(params, grads, state, lr=0.15, clip=5.0)
         for n, a in state.acc.items():
             assert np.all(a >= prev[n])
             prev[n] = a.copy()
@@ -554,3 +655,48 @@ def test_train_uses_pretrained_vectors(tmp_path):
     # the loaded rows start from the file values, so training lands elsewhere
     assert not np.array_equal(params["word_emb"].data[vocab.id("aa")],
                               seeded["word_emb"].data[vocab.id("aa")])
+
+
+@pytest.mark.parametrize("ppls, calls", [
+    ([1.0, 2.0, 3.0], ["copy", "set"]),
+    ([2.0, 1.0, 3.0], ["copy", "copy", "set"]),
+    ([3.0, 2.0, 1.0], ["copy", "copy"]),
+])
+def test_train_copies_parameters_only_for_a_later_restore(ppls, calls, monkeypatch):
+    vocab = toy_vocab()
+    pairs, holdout = toy_corpus()
+    snapshots = []
+
+    def scripted_perplexity(params, *args):
+        snapshots.append({name: t.data.copy() for name, t in params.items()})
+        return ppls[len(snapshots) - 1]
+
+    seen = []
+    real_copy, real_set = ModelParams.copy_arrays, ModelParams.set_arrays
+    monkeypatch.setattr(train_module, "perplexity", scripted_perplexity)
+    monkeypatch.setattr(ModelParams, "copy_arrays",
+                        lambda self: seen.append("copy") or real_copy(self))
+    monkeypatch.setattr(ModelParams, "set_arrays",
+                        lambda self, arrays: seen.append("set") or real_set(self, arrays))
+    params, history = train(small_config(epochs=3, dropout=0.2), pairs, holdout, vocab)
+    # a test-only copy of the loop that copied after every improving epoch
+    # and always restored the best copy
+    best_ppl, best_arrays = math.inf, None
+    for ppl, arrays in zip(ppls, snapshots):
+        if ppl < best_ppl:
+            best_ppl, best_arrays = ppl, {name: a.copy() for name, a in arrays.items()}
+    for name, t in params.items():
+        np.testing.assert_array_equal(t.data, best_arrays[name])
+    assert [h["holdout_ppl"] for h in history] == ppls
+    assert seen == calls
+
+
+def test_one_epoch_train_neither_copies_nor_restores(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-epoch run returns its only arrays as they are")
+
+    monkeypatch.setattr(ModelParams, "copy_arrays", refuse)
+    monkeypatch.setattr(ModelParams, "set_arrays", refuse)
+    pairs, holdout = toy_corpus()
+    _, history = train(small_config(epochs=1), pairs, holdout, toy_vocab())
+    assert len(history) == 1
