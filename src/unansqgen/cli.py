@@ -41,9 +41,9 @@ _OPTIONS = {
         "max_target_len": (int, TrainConfig.max_target_len, "target length cap, EOS included"),
     },
     "generate": {
-        "beam": (int, 5, "beam width"),
+        "beam": (int, decode.BEAM_SIZE, "beam width"),
         "nbest": (int, 1, "generations kept per input"),
-        "max_len": (int, 50, "decoder steps per generation"),
+        "max_len": (int, decode.MAX_LEN, "decoder steps per generation"),
     },
     "evaluate": {},
     "augment": {},

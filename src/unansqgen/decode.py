@@ -9,17 +9,19 @@ import numpy as np
 
 from . import text
 from .fileio import atomic_write
-from .model import (DecoderState, decode_step, decode_steps, encode_input,
-                    extended_vocab, final_distribution, init_decoder)
-from .tensor import Tape
+from .model import (DecoderState, decode_step, encode_input, extended_vocab,
+                    final_distribution, init_decoder)
+from .tensor import Tape, Tensor
+
+BEAM_SIZE, MAX_LEN = 5, 50  # defaults: beam width, decoder steps per generation
 
 
 @dataclass
 class BeamHypothesis:
     """One partial or finished decode. `tokens` are surface forms; a
-    finished hypothesis ends with the EOS surface. `state` is the row, in
-    the decoder state returned by the beam step that made this hypothesis,
-    that it continues from (its parent's row)."""
+    finished hypothesis ends with the EOS surface. `state` is the row (a
+    column of the state's arrays), in the decoder state returned by the beam
+    step that made this hypothesis, that it continues from (its parent's)."""
     tokens: list
     score: float
     state: object
@@ -52,12 +54,13 @@ def _top_k(flat, k):
 
 def _gather_rows(tape, state, rows):
     """The decoder state whose row i is row `rows[i]` of `state`."""
-    def take(t):
-        return tape.embedding(t, rows)
-    return DecoderState(take(state.hidden), take(state.cell), [take(c) for c in state.contexts])
+    pick = Tensor(np.eye(state.hidden.shape[1])[:, rows])
+    hidden, cell, *contexts = (tape.matmul(t, pick)
+                               for t in [state.hidden, state.cell, *state.contexts])
+    return DecoderState(hidden, cell, contexts)
 
 
-def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50):
+def beam_search(tape, params, enc, vocab, beam_size=BEAM_SIZE, max_len=MAX_LEN):
     """Ranked hypotheses for one encoded input.
 
     Standard beam expansion over the final mixture distribution with the
@@ -105,7 +108,7 @@ def beam_search(tape, params, enc, vocab, beam_size=5, max_len=50):
     return _ranked(finished or beams)
 
 
-def greedy_decode(tape, params, enc, vocab, max_len=50):
+def greedy_decode(tape, params, enc, vocab, max_len=MAX_LEN):
     """The width-1 beam: argmax decode after UNK suppression, ties to the
     lowest index.
 
@@ -133,7 +136,7 @@ def score_sequence(tape, params, enc, vocab, surface_tokens, include_eos=True):
     if None in ids:
         return -math.inf
     prev_ids = [text.BOS_ID] + [i if i < len(vocab) else text.UNK_ID for i in ids[:-1]]
-    out = decode_steps(tape, params, enc, init_decoder(tape, params, enc), prev_ids)
+    out = decode_step(tape, params, enc, init_decoder(tape, params, enc), prev_ids)
     dist, _ = final_distribution(out, enc, vocab)
     total = 0.0
     for p in dist.reshape(len(ids), -1)[np.arange(len(ids)), ids]:
@@ -149,7 +152,7 @@ def filter_outputs(hypotheses, source_question_tokens):
     return [h for h in hypotheses if h.surface() != source]
 
 
-def generate_for_example(params, vocab, pair, beam_size=5, max_len=50, nbest=1):
+def generate_for_example(params, vocab, pair, beam_size=BEAM_SIZE, max_len=MAX_LEN, nbest=1):
     """Encode one aligned pair and return up to nbest filtered hypotheses."""
     if nbest < 1:
         raise ValueError(f"generate_for_example: nbest must be >= 1, got {nbest}")

@@ -6,12 +6,15 @@ a fresh Tape so gradients fall out of `backward` with no model-side code.
 Parameters live in a name -> Tensor mapping so the optimizer and the
 checkpoint format stay agnostic of the architecture.
 
-The BiLSTM encoder keeps its per-gate, per-direction weights but runs both
-directions as one recurrence: step t reads position t forward and position
-n-1-t backward. Gate columns are gate-major, [i_fw i_bw f_fw f_bw o_fw o_bw
-c_fw c_bw], and the state is a [2H x 1] column, because the tape can split
-rows (`slice_rows`) but not columns: one sigmoid and one tanh cover every
-gate of both directions, and row slices pick i, f and o apart.
+Encoder and decoder keep their per-gate weights but step one LSTM cell,
+`_lstm_cell`, over [4H x rows] gate pre-activations in the row blocks i, f,
+o, c. States are columns because the tape can split rows (`slice_rows`) but
+not columns: one sigmoid and one tanh cover every gate, and row slices pick
+i, f and o apart. The BiLSTM runs both directions as one recurrence over a
+[2H x 1] state: step t reads position t forward and position n-1-t backward,
+with gate columns [i_fw i_bw f_fw f_bw o_fw o_bw c_fw c_bw]. The decoder
+joins its gates into one [word; contexts; hidden] x 4S weight once per tape,
+and its [S x rows] state holds one column per beam row.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import text
 from .fileio import atomic_write
-from .tensor import (CHECKPOINT_VERSION, Tape, Tensor, load_checkpoint,
-                     parameter, save_checkpoint)
+from .tensor import (CHECKPOINT_VERSION, TapeError, Tensor, load_checkpoint, parameter,
+                     save_checkpoint)
 
 WORD_DIM = 300
 ENC_HIDDEN = 150
@@ -229,15 +232,15 @@ def load_pretrained_vectors(path, vocab, params):
 # forward pieces
 
 
-def _lstm_step(tape, params, prefix, x, h_prev, c_prev):
-    z = tape.concat_cols([x, h_prev])
-    gi = tape.sigmoid(tape.add(tape.matmul(z, params[f"{prefix}_Wi"]), params[f"{prefix}_bi"]))
-    gf = tape.sigmoid(tape.add(tape.matmul(z, params[f"{prefix}_Wf"]), params[f"{prefix}_bf"]))
-    go = tape.sigmoid(tape.add(tape.matmul(z, params[f"{prefix}_Wo"]), params[f"{prefix}_bo"]))
-    gc = tape.tanh(tape.add(tape.matmul(z, params[f"{prefix}_Wc"]), params[f"{prefix}_bc"]))
-    c = tape.add(tape.mul(gf, c_prev), tape.mul(gi, gc))
-    h = tape.mul(go, tape.tanh(c))
-    return h, c
+def _lstm_cell(tape, pre, c_prev):
+    """(hidden, cell) after one LSTM step, from [4H x rows] gate
+    pre-activations in the row blocks i, f, o, c and the [H x rows] cell."""
+    h = pre.shape[0] // 4
+    sig = tape.sigmoid(tape.slice_rows(pre, 0, 3 * h))
+    cand = tape.tanh(tape.slice_rows(pre, 3 * h, 4 * h))
+    i, f, o = (tape.slice_rows(sig, k * h, (k + 1) * h) for k in range(3))
+    c = tape.add(tape.mul(f, c_prev), tape.mul(i, cand))
+    return tape.mul(o, tape.tanh(c)), c
 
 
 def _bilstm_cell(tape, params):
@@ -276,11 +279,7 @@ def _run_bilstm(tape, cell, emb):
     for t in range(n):
         pre = tape.add(tape.matmul(proj, Tensor(eye[:, t:t + 1]), transpose_a=True),
                        tape.matmul(recurrent, h, transpose_a=True))
-        sig = tape.sigmoid(tape.slice_rows(pre, 0, 3 * two_h))
-        cand = tape.tanh(tape.slice_rows(pre, 3 * two_h, 4 * two_h))
-        i, f, o = (tape.slice_rows(sig, k * two_h, (k + 1) * two_h) for k in range(3))
-        c = tape.add(tape.mul(f, c), tape.mul(i, cand))
-        h = tape.mul(o, tape.tanh(c))
+        h, c = _lstm_cell(tape, pre, c)
         hs.append(h)
     pick = np.eye(two_h)
     fw = tape.matmul(tape.concat_cols(hs), Tensor(pick[:, :two_h // 2]), transpose_a=True)
@@ -408,6 +407,7 @@ def interact(tape, params, states_p, states_q):
 
 @dataclass
 class DecoderState:
+    """The decoder recurrence, one column per row: each tensor is [S x rows]."""
     hidden: Tensor
     cell: Tensor
     contexts: list
@@ -416,98 +416,85 @@ class DecoderState:
 @dataclass
 class DecoderStepOutput:
     state: DecoderState
-    gate: Tensor  # [rows,1], in (0,1)
-    p_vocab: Tensor  # [rows,|V|], rows sum to 1
-    copy_attn: Tensor  # [rows,Lc], rows sum to 1
+    gate: Tensor  # [steps*rows,1], in (0,1)
+    p_vocab: Tensor  # [steps*rows,|V|], rows sum to 1
+    copy_attn: Tensor  # [steps*rows,Lc], rows sum to 1
 
 
 def init_decoder(tape, params, enc):
-    """Initial decoder state from the (question) encoder's final states."""
+    """Initial one-row decoder state from the (question) encoder's final states."""
     s0 = tape.tanh(tape.add(
         tape.matmul(tape.concat_cols([enc.final_fw, enc.final_bw]), params["init_W"]),
         params["init_b"]))
-    cell0 = Tensor(np.zeros((1, params.state_size)))
-    contexts = [Tensor(np.zeros((1, params.state_size))) for _ in range(params.n_contexts)]
-    return DecoderState(s0, cell0, contexts)
+    zero = Tensor(np.zeros((params.state_size, 1)))
+    column = tape.matmul(s0, Tensor(np.ones((1, 1))), transpose_a=True)  # exact: s0 times 1.0
+    return DecoderState(column, zero, [zero] * params.n_contexts)
 
 
-def _cached_keys(tape, enc, name, states, weight):
+def _cached(enc, name, build):
+    """`build()`, once per encoded input (so once per tape)."""
     if name not in enc.cache:
-        enc.cache[name] = tape.matmul(states, weight)
+        enc.cache[name] = build()
     return enc.cache[name]
 
 
-def _rows(tape, tensors):
-    return tensors[0] if len(tensors) == 1 else tape.stack_rows(tensors)
+def _decoder_gates(tape, params):
+    """The four decoder gates as one weight, split into its word rows and its
+    [contexts; hidden] rows, plus one bias, in gate-major i, f, o, c columns."""
+    weight = tape.concat_cols([params[f"dec_W{gate}"] for gate in _GATES])
+    e = params.word_dim
+    return (tape.slice_rows(weight, 0, e), tape.slice_rows(weight, e, weight.shape[0]),
+            tape.concat_cols([params[f"dec_b{gate}"] for gate in _GATES]))
 
 
-def _step(tape, params, enc, state, y, drops):
-    """The recurrence of one decoder step over the rows of `state`.
+def _cols(tape, tensors):
+    return tensors[0] if len(tensors) == 1 else tape.concat_cols(tensors)
 
-    Row r of `y` is the word embedding of row r's previous token. The LSTM
-    reads [y; previous context(s)]; attention is bilinear in the new hidden
-    state. Returns the new state and the output-layer copy of its hidden
-    state, the only one that dropout touches (never the recurrent carry).
+
+def decode_step(tape, params, enc, state, prev_ids, drops=None):
+    """Decoder steps over every row of `state`, fed step-major `prev_ids`.
+
+    `prev_ids` holds one id per state row per step: one id, one per live
+    hypothesis of a beam step, or the k previous ids of a one-row
+    teacher-forced pass. Only the recurrence runs step by step: the word side
+    of every gate, bias included, is projected once, and the output layer
+    runs once over all steps. Attention is bilinear in the new hidden state;
+    dropout touches only the output layer's copy of it, never the carry.
+    Row t*rows + r of the returned gate, p_vocab and copy_attn belongs to step
+    t of row r; the state is the last step's.
     """
-    x = tape.concat_cols([y] + state.contexts)
-    hidden, cell = _lstm_step(tape, params, "dec", x, state.hidden, state.cell)
-    out_hidden = _maybe_drop(tape, hidden, drops)
-    contexts = []
-    for j, states in enumerate(enc.attn_states):
-        keys = _cached_keys(tape, enc, f"attn_keys_{j}", states, params["attn_W"])
-        gamma = tape.row_softmax(tape.matmul(hidden, keys, transpose_b=True))
-        contexts.append(tape.matmul(gamma, states))
-    return DecoderState(hidden, cell, contexts), out_hidden
-
-
-def _output_layer(tape, params, enc, states, out_hiddens):
-    """Vocabulary softmax, copy gate and copy attention over the stacked rows
-    of `states` (one per step); the returned state is the last one."""
-    features = tape.concat_cols([_rows(tape, out_hiddens)]
-                                + [_rows(tape, c) for c in zip(*(s.contexts for s in states))])
-    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]),
+    ids = [prev_ids] if np.ndim(prev_ids) == 0 else list(prev_ids)
+    rows = state.hidden.shape[1]
+    steps, rest = divmod(len(ids), rows)
+    if rest or not steps:
+        raise TapeError(f"decode_step: {len(ids)} previous ids for {rows} state rows")
+    w_word, w_state, bias = _cached(enc, "dec_gates", lambda: _decoder_gates(tape, params))
+    keys = [_cached(enc, f"attn_keys_{j}", lambda: tape.matmul(states, params["attn_W"]))
+            for j, states in enumerate(enc.attn_states)]
+    words = tape.add(tape.matmul(tape.embedding(params["word_emb"], ids), w_word), bias)
+    hidden, cell, contexts = state.hidden, state.cell, state.contexts
+    hiddens, out_hiddens, step_contexts = [], [], []
+    for pick in np.hsplit(np.eye(len(ids)), steps):  # step t's rows of `words`, as columns
+        pre = tape.add(tape.matmul(words, Tensor(pick), transpose_a=True),
+                       tape.matmul(w_state, tape.stack_rows(contexts + [hidden]), transpose_a=True))
+        hidden, cell = _lstm_cell(tape, pre, cell)
+        contexts = []
+        for states, key in zip(enc.attn_states, keys):
+            gamma = tape.row_softmax(tape.matmul(hidden, key, transpose_a=True, transpose_b=True))
+            contexts.append(tape.matmul(states, gamma, transpose_a=True, transpose_b=True))
+        hiddens.append(hidden)
+        out_hiddens.append(_maybe_drop(tape, hidden, drops))
+        step_contexts.append(contexts)
+    features = tape.stack_rows([_cols(tape, out_hiddens)]
+                               + [_cols(tape, c) for c in zip(*step_contexts)])
+    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"], transpose_a=True),
                                         params["out_b"]))
-    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]),
+    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"], transpose_a=True),
                                  params["gate_b"]))
-    copy_keys = _cached_keys(tape, enc, "copy_keys", enc.copy_states, params["copy_W"])
-    copy_attn = tape.row_softmax(tape.matmul(_rows(tape, [s.hidden for s in states]),
-                                             copy_keys, transpose_b=True))
-    return DecoderStepOutput(states[-1], gate, p_vocab, copy_attn)
-
-
-def decode_steps(tape, params, enc, state, prev_token_ids, drops=None):
-    """k teacher-forced decoder steps of one row, one per id in `prev_token_ids`.
-
-    Only the recurrence runs step by step. The word embeddings of all k
-    previous ids are looked up at once, and the output layer runs once over
-    the k stacked steps, since none of it feeds the recurrence. Row t of the
-    returned gate, p_vocab and copy_attn belongs to step t; the state is the
-    one after the last step.
-    """
-    k = len(prev_token_ids)
-    if k < 1:
-        raise ModelError("decode_steps: no previous token ids")
-    ys = tape.embedding(params["word_emb"], prev_token_ids)
-    states, out_hiddens = [], []
-    for t in range(k):
-        y = ys if k == 1 else tape.slice_rows(ys, t, t + 1)
-        state, out_hidden = _step(tape, params, enc, state, y, drops)
-        states.append(state)
-        out_hiddens.append(out_hidden)
-    return _output_layer(tape, params, enc, states, out_hiddens)
-
-
-def decode_step(tape, params, enc, state, prev_token_id, drops=None):
-    """One decoder step over every row of `state`.
-
-    `prev_token_id` is one id for a one-row state, or a sequence of one id
-    per row: beam search advances all live hypotheses as the rows of one
-    state. Row r of the output belongs to row r of the state.
-    """
-    ids = [prev_token_id] if np.ndim(prev_token_id) == 0 else prev_token_id
-    y = tape.embedding(params["word_emb"], ids)
-    state, out_hidden = _step(tape, params, enc, state, y, drops)
-    return _output_layer(tape, params, enc, [state], [out_hidden])
+    copy_keys = _cached(enc, "copy_keys", lambda: tape.matmul(enc.copy_states, params["copy_W"]))
+    copy_attn = tape.row_softmax(tape.matmul(_cols(tape, hiddens), copy_keys,
+                                             transpose_a=True, transpose_b=True))
+    return DecoderStepOutput(DecoderState(hidden, cell, contexts), gate, p_vocab, copy_attn)
 
 
 def extended_vocab(enc, vocab):

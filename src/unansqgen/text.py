@@ -143,8 +143,15 @@ def save_vocab(path, vocab):
 
 
 def load_vocab(path):
+    """Read a `save_vocab` file; a blank or repeated token raises ValueError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     if tuple(lines[:5]) != SPECIAL_TOKENS:
         raise ValueError(f"{path}: vocabulary file must start with the special-token header")
+    first = {}
+    for ln, token in enumerate(lines, start=1):
+        if not token.strip():
+            raise ValueError(f"{path}:{ln}: blank vocabulary entry")
+        if first.setdefault(token, ln) != ln:
+            raise ValueError(f"{path}:{ln}: duplicate token {token!r} (first on line {first[token]})")
     return Vocab(lines[5:])

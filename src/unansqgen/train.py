@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import text
-from .model import (MODES, DropStream, ModelParams, encode_input, decode_steps,
-                    init_decoder, load_pretrained_vectors)
-from .model import decode_step  # noqa: F401  perfbench/tracing.py patches train.decode_step
+from .model import (MODES, DropStream, ModelParams, decode_step, encode_input, init_decoder,
+                    load_pretrained_vectors)
 from .tensor import Tape, Tensor, TapeError, backward, sum_gradients
 
 
@@ -46,7 +45,8 @@ class TrainConfig:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=50, drops=None):
+def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=TrainConfig.max_target_len,
+                 drops=None):
     """Teacher-forced -sum log(P(target_t) + 1e-12) for one example.
 
     The step probability is the mixture value of the gold token: gate-scaled
@@ -64,8 +64,7 @@ def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=50, drops=None
     targets.append(text.EOS)
     prev_ids = [text.BOS_ID] + [vocab.id(tok) for tok in targets[:-1]]
 
-    state = init_decoder(tape, params, enc)
-    out = decode_steps(tape, params, enc, state, prev_ids, drops=drops)
+    out = decode_step(tape, params, enc, init_decoder(tape, params, enc), prev_ids, drops=drops)
     # Gold probabilities are read through constant masks: row t of `onehot`
     # and `indicator` marks target t in the vocabulary and among the copy
     # positions. An out-of-vocabulary target has an all-zero onehot row, so
@@ -135,7 +134,7 @@ def _example_loss(params, vocab, pair, max_target_len, drops=None):
     return tape, loss, steps
 
 
-def perplexity(params, pairs, vocab, max_target_len=50):
+def perplexity(params, pairs, vocab, max_target_len=TrainConfig.max_target_len):
     """exp(total NLL / total target tokens), dropout disabled."""
     if not pairs:
         raise TrainingError("perplexity: empty pair list")

@@ -107,9 +107,9 @@ def real_squad_paths():
     return None
 
 
-# Dense per-use reference vjps: each matmul and each embedding lookup hands
-# `backward` a complete dense gradient for every input, as the engine did
-# before weight gradients were deferred to one sum per tape.
+# Dense per-use reference vjps: each matmul, embedding lookup and row slice
+# hands `backward` a complete dense gradient for every input, as the engine
+# did before their gradients were deferred to one sum per tensor.
 
 def _dense_matmul(arrays, meta):
     a, b = arrays
@@ -137,6 +137,18 @@ def _dense_embedding(arrays, meta):
     return table[ids], vjp
 
 
+def _dense_slice_rows(arrays, meta):
+    x = arrays[0]
+    start, stop = meta["start"], meta["stop"]
+
+    def vjp(g):
+        dx = np.zeros_like(x)
+        dx[start:stop] = g
+        return [dx]
+
+    return x[start:stop], vjp
+
+
 @pytest.fixture
 def dense_vjps(monkeypatch):
     """Call `dense_vjps(fn)` to run `fn()` with the dense reference vjps recorded."""
@@ -144,5 +156,6 @@ def dense_vjps(monkeypatch):
         with monkeypatch.context() as m:
             m.setitem(tensor._FORWARD, "matmul", _dense_matmul)
             m.setitem(tensor._FORWARD, "embedding-lookup", _dense_embedding)
+            m.setitem(tensor._FORWARD, "slice-rows", _dense_slice_rows)
             return fn()
     return run

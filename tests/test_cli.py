@@ -252,6 +252,27 @@ def test_generate_vocab_size_mismatch(pipeline, tmp_path, capsys):
     assert str(vocab_size) in err and str(len(other)) in err
 
 
+@pytest.mark.parametrize("command", ["train", "generate"])
+@pytest.mark.parametrize("extra,problem", [("\n", ": blank vocabulary entry"),
+                                           ("<sep>\n", ": duplicate token '<sep>'")])
+def test_malformed_vocab_is_one_error_line(pipeline, tmp_path, capsys, command, extra, problem):
+    vocab = tmp_path / "vocab.txt"
+    lines = open(pipeline["vocab"], encoding="utf-8").read()
+    vocab.write_text(lines + extra, encoding="utf-8")
+    line = lines.count("\n") + 1
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--pairs", pipeline["pairs"], "--holdout", pipeline["holdout"],
+                "--dims-override", "6/3"]
+    else:
+        argv = ["generate", "--checkpoint", pipeline["ckpt"], "--input", pipeline["pairs"]]
+    rc = main(argv + ["--vocab", str(vocab), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vocab}:{line}{problem}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_evaluate_requires_reference_source(pipeline, tmp_path, capsys):
     gen = tmp_path / "g.tsv"
     gen.write_text("q1\twhy ?\t-1.0\n", encoding="utf-8")

@@ -418,6 +418,52 @@ def test_deferred_a_pieces_and_dense_contributions_to_one_non_leaf(dense_vjps):
     assert_matches_dense(build, dense_vjps)
 
 
+def test_deferred_overlapping_slices_of_a_non_leaf(dense_vjps):
+    # the LSTM cell's pattern: one pre-activation sliced into gate blocks,
+    # here overlapping, plus a whole-tensor use of the same non-leaf
+    rng = np.random.default_rng(42)
+    w = parameter(rng.uniform(-1, 1, (4, 6)), name="w")
+    x = constant(rng.uniform(-1, 1, (4, 3)))
+
+    def build():
+        tape = Tape()
+        pre = tape.tanh(tape.matmul(w, x, transpose_a=True))
+        parts = [tape.slice_rows(pre, a, b) for a, b in ((0, 3), (1, 4), (2, 3), (5, 6))]
+        loss = tape.add(tape.sum(tape.mul(parts[0], parts[1])),
+                        tape.add(tape.sum(tape.sigmoid(tape.stack_rows(parts[2:]))),
+                                 tape.sum(tape.tanh(pre))))
+        return loss, tape
+
+    assert_matches_dense(build, dense_vjps)
+
+
+def test_deferred_slices_of_a_leaf(dense_vjps):
+    # the encoder's pattern: a leaf weight sliced into row blocks, here
+    # overlapping, and also used whole, so it gets slice and matmul pieces;
+    # checked with and without a dict collecting the leaves' pieces
+    rng = np.random.default_rng(43)
+    w = parameter(rng.uniform(-1, 1, (5, 3)), name="w")
+    x = constant(rng.uniform(-1, 1, (2, 3)))
+    y = constant(rng.uniform(-1, 1, (2, 5)))
+
+    def build():
+        tape = Tape()
+        top, mid = tape.slice_rows(w, 0, 3), tape.slice_rows(w, 2, 5)
+        loss = tape.add(tape.sum(tape.tanh(tape.matmul(x, top))),
+                        tape.add(tape.sum(tape.mul(mid, mid)),
+                                 tape.sum(tape.tanh(tape.add(tape.matmul(x, w, transpose_b=True),
+                                                             y)))))
+        return loss, tape
+
+    grads = assert_matches_dense(build, dense_vjps)
+    loss, tape = build()
+    leaf_pieces = {}
+    dense = backward(loss, tape, leaf_pieces)
+    assert [len(p) for p in leaf_pieces[w]] == [3]  # the matmul piece only
+    got = tensor.sum_gradients(leaf_pieces, dense)
+    assert np.max(np.abs(got[w] - grads[w])) <= 1e-12 * np.max(np.abs(grads[w]))
+
+
 def test_untracked_b_piece_is_dropped_unbuilt(dense_vjps, monkeypatch):
     # A matmul's piece for one operand holds the other operand's data, so the
     # leaf's own piece holds the constant's and a piece holding the leaf's

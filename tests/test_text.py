@@ -187,6 +187,20 @@ def test_vocab_file_round_trip(tmp_path):
     assert loaded.id_to_token == v.id_to_token
 
 
+@pytest.mark.parametrize("body,line,problem", [
+    (["foo", "", "bar"], 7, "blank vocabulary entry"),
+    (["foo", "   "], 7, "blank vocabulary entry"),
+    (["foo", "bar", "foo"], 8, "duplicate token 'foo' (first on line 6)"),
+    (["<unk>"], 6, "duplicate token '<unk>' (first on line 2)"),
+])
+def test_load_vocab_rejects_blank_and_duplicate_entries(tmp_path, body, line, problem):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(list(SPECIAL_TOKENS) + body) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_vocab(path)
+    assert str(err.value) == f"{path}:{line}: {problem}"
+
+
 def test_load_vocab_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("alpha\nbeta\n", encoding="utf-8")

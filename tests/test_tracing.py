@@ -23,9 +23,12 @@ def test_tracer_spans_cover_training_and_decoding():
         config = train.TrainConfig(mode="pair2seq", epochs=1, batch_size=1,
                                    word_dim=6, enc_hidden=3)
         train.train(config, [pair], [pair], vocab, params=params)
+        trained = tracer.totals()
         decode.generate_for_example(params, vocab, pair, beam_size=2, max_len=3)
     finally:
         tracer.uninstall()
+    # training decodes through the traced name too, not only beam search
+    assert "model.decode_step" in trained
     spans = tracer.totals()
     for name in ("tensor.backward", "tensor.primitive.matmul", "model.decode_step",
                  "train.adagrad_step"):

@@ -288,6 +288,25 @@ def test_train_builds_each_vocabulary_wide_gradient_once_per_batch(monkeypatch):
     assert sorted(built) == ["out_W", "word_emb"]  # not once per example
 
 
+def test_batch_carries_no_slice_piece_across_tapes(monkeypatch):
+    # the encoder slices its leaf weights; those pieces may view larger
+    # gradients, so each tape sums them into its dense part instead
+    params = small_params("pair2seq")
+    carried = []
+    real = train_module.sum_gradients
+
+    def capture(leaf_pieces, dense):
+        carried.append({t.name: list(found) for t, found in leaf_pieces.items()})
+        return real(leaf_pieces, dense)
+
+    monkeypatch.setattr(train_module, "sum_gradients", capture)
+    _train_one_batch(params, "pair2seq", monkeypatch)
+    (pieces,) = carried
+    assert set(pieces) == set(params.tensors)
+    assert not any(type(p[0]) is slice for found in pieces.values() for p in found)
+    assert pieces["out_W"] and pieces["word_emb"] and not pieces["enc_fw_Wi"]
+
+
 @pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
 def test_backward_gradients_share_no_memory(mode):
     # train.train keeps the first example's arrays and adds the rest into
