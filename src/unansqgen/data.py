@@ -61,6 +61,13 @@ class AlignStats:
     dropped_pivots: int = 0
 
 
+def _typed(table, key, kind, where):
+    """`table[key]`, or an empty `kind` when absent; a DatasetError if it is not a `kind`."""
+    if type(value := table.get(key, kind())) is not kind:
+        raise DatasetError(f"{where}: {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def parse_squad(path):
     """Parse a SQuAD v2.0 JSON file into paragraph records.
 
@@ -83,7 +90,7 @@ def parse_squad(path):
         if not isinstance(article, dict):
             raise DatasetError(f"{where}: article must be an object")
         title = article.get("title", "")
-        for pi, para in enumerate(article.get("paragraphs", [])):
+        for pi, para in enumerate(_typed(article, "paragraphs", list, where)):
             pwhere = f"{where}.paragraphs[{pi}]"
             if not isinstance(para, dict) or not isinstance(para.get("context"), str):
                 raise DatasetError(f"{pwhere}: missing 'context' string")
@@ -91,11 +98,11 @@ def parse_squad(path):
             if not context:
                 raise DatasetError(f"{pwhere}: empty context")
             qas = []
-            for qi, qa in enumerate(para.get("qas", [])):
+            for qi, qa in enumerate(_typed(para, "qas", list, pwhere)):
                 qwhere = f"{pwhere}.qas[{qi}]"
-                if not isinstance(qa, dict) or "question" not in qa or "id" not in qa:
-                    raise DatasetError(f"{qwhere}: missing 'id' or 'question'")
-                impossible = bool(qa.get("is_impossible", False))
+                if not isinstance(qa, dict) or "id" not in qa or type(qa.get("question")) is not str:
+                    raise DatasetError(f"{qwhere}: missing 'id' or 'question' string")
+                impossible = _typed(qa, "is_impossible", bool, qwhere)
                 raw = qa.get("plausible_answers" if impossible else "answers", []) or []
                 if type(raw) is not list:
                     raise DatasetError(f"{qwhere} (id {qa['id']!r}): answers must be a list")
@@ -154,7 +161,7 @@ def pivot_token_span(token_spans, text, char_start):
     return start, end, exact
 
 
-def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTION_TOKEN_CAP):
+def align_pairs(records):
     """Pair answerable and unanswerable questions sharing an answer-span pivot.
 
     Candidates within a paragraph share an identical (text, char_start)
@@ -171,12 +178,12 @@ def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTIO
     unans_order = {}
 
     for record in records:
-        token_spans = tokenize_with_spans(record.context)[:paragraph_cap]
+        token_spans = tokenize_with_spans(record.context)[:PARAGRAPH_TOKEN_CAP]
         para_tokens = [tok for tok, _, _ in token_spans]
         by_pivot_ans = {}
         by_pivot_unans = {}
         for qa in record.qas:
-            q_tokens = tokenize(qa.question)[:question_cap]
+            q_tokens = tokenize(qa.question)[:QUESTION_TOKEN_CAP]
             if not q_tokens:
                 continue
             order = unans_order if qa.is_impossible else ans_order
@@ -218,16 +225,13 @@ def align_pairs(records, paragraph_cap=PARAGRAPH_TOKEN_CAP, question_cap=QUESTIO
     return pairs, stats
 
 
-def split_holdout(pairs, seed, fraction=0.1, titles=None):
+def split_holdout(pairs, seed, fraction=0.1):
     """Split pairs into (train, holdout) by whole articles.
 
     Articles are shuffled with the seed, then accumulated into the holdout
     side while that brings its pair count closer to the target fraction.
     """
-    if titles is None:
-        titles = sorted({p.title for p in pairs})
-    else:
-        titles = sorted(titles)
+    titles = sorted({p.title for p in pairs})
     rng = random.Random(seed)
     rng.shuffle(titles)
     counts = Counter(p.title for p in pairs)

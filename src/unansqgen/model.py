@@ -6,15 +6,14 @@ a fresh Tape so gradients fall out of `backward` with no model-side code.
 Parameters live in a name -> Tensor mapping so the optimizer and the
 checkpoint format stay agnostic of the architecture.
 
-Encoder and decoder keep their per-gate weights but step one LSTM cell,
-`_lstm_cell`, over [4H x rows] gate pre-activations in the row blocks i, f,
-o, c. States are columns because the tape can split rows (`slice_rows`) but
-not columns: one sigmoid and one tanh cover every gate, and row slices pick
-i, f and o apart. The BiLSTM runs both directions as one recurrence over a
-[2H x 1] state: step t reads position t forward and position n-1-t backward,
-with gate columns [i_fw i_bw f_fw f_bw o_fw o_bw c_fw c_bw]. The decoder
-joins its gates into one [word; contexts; hidden] x 4S weight once per tape,
-and its [S x rows] state holds one column per beam row.
+Each LSTM has one input weight, one recurrent weight and one bias, with
+gate-major columns, and steps `_lstm_cell` over [4H x rows] gate
+pre-activations in the row blocks i, f, o, c. States are columns because the
+tape can split rows (`slice_rows`) but not columns. The BiLSTM runs both
+directions as one recurrence over a [2H x 1] state: step t reads position t
+forward and position n-1-t backward, with gate columns [i_fw i_bw f_fw f_bw
+o_fw o_bw c_fw c_bw]. The decoder's recurrent weight reads [contexts;
+hidden], and its [S x rows] state holds one column per beam row.
 """
 
 from __future__ import annotations
@@ -91,14 +90,12 @@ class ModelParams:
         add("word_emb", vocab_size, e)
         add("char_emb", text.CHAR_INVENTORY_SIZE, e)
         add("type_emb", 3, e)
-        for direction in ("enc_fw", "enc_bw"):
-            for gate in _GATES:
-                add(f"{direction}_W{gate}", e + h, h)
-                add(f"{direction}_b{gate}", 1, h)
-        dec_in = e + self.n_contexts * s
-        for gate in _GATES:
-            add(f"dec_W{gate}", dec_in + s, s)
-            add(f"dec_b{gate}", 1, s)
+        add("enc_Wx", e, 8 * h)
+        add("enc_Wh", h, 8 * h)
+        add("enc_b", 1, 8 * h)
+        add("dec_Wx", e, 4 * s)
+        add("dec_Wh", (self.n_contexts + 1) * s, 4 * s)
+        add("dec_b", 1, 4 * s)
         add("attn_W", s, s)
         add("copy_W", s, s)
         if mode == "pair2seq":
@@ -113,7 +110,7 @@ class ModelParams:
         add("gate_W", feat, 1)
         add("gate_b", 1, 1)
         add("init_W", s, s)
-        add("init_b", 1, s)
+        add("init_b", s, 1)
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -159,8 +156,8 @@ class ModelParams:
     def load(path):
         """Rebuild (params, sidecar dict) from a checkpoint plus its sidecar.
 
-        The sidecar must be an object holding `format_version` equal to
-        CHECKPOINT_VERSION and a `model` object with a known `mode` and
+        The sidecar must be an object holding `format_version` 1 (see
+        `_join_gates`) or 2 and a `model` object with a known `mode` and
         integer `vocab_size`, `word_dim` and `enc_hidden` of at least 1.
         Anything else raises ModelError naming the sidecar and the key.
         """
@@ -183,8 +180,9 @@ class ModelParams:
                 raise ModelError(f"{where}: key {name!r} must be {expected}, got {table[key]!r}")
             return table[key]
 
-        field(sidecar, "format_version", lambda v: type(v) is int and v == CHECKPOINT_VERSION,
-              str(CHECKPOINT_VERSION))
+        version = field(sidecar, "format_version",
+                        lambda v: type(v) is int and v in (1, CHECKPOINT_VERSION),
+                        f"1 or {CHECKPOINT_VERSION}")
         cfg = field(sidecar, "model", lambda v: isinstance(v, dict), "an object")
         mode = field(cfg, "model.mode", lambda v: v in MODES, f"one of {MODES}")
         vocab_size, word_dim, enc_hidden = (
@@ -192,11 +190,27 @@ class ModelParams:
             for key in ("vocab_size", "word_dim", "enc_hidden"))
         params = ModelParams(vocab_size, mode, word_dim=word_dim, enc_hidden=enc_hidden, seed=0)
         arrays = load_checkpoint(path)
+        try:
+            arrays = _join_gates(arrays, word_dim) if version == 1 else arrays
+        except (KeyError, ValueError) as exc:
+            raise ModelError(f"{path}: version-1 gate tensors do not join: {exc}") from None
         params.set_arrays(arrays)
         if set(arrays) != set(params.tensors):
             extra = sorted(set(arrays) - set(params.tensors))
             raise ModelError(f"{path}: unexpected parameters {extra}")
         return params, sidecar
+
+
+def _join_gates(arrays, e):
+    """Version-1 arrays in this layout: each LSTM's per-gate [in x H] weights
+    and [1 x H] biases become gate-major column blocks, `init_b` a column."""
+    arrays = dict(arrays)
+    enc, enc_b, dec, dec_b = (
+        np.concatenate([arrays.pop(f"{d}_{kind}{g}") for g in _GATES for d in lstm], axis=1)
+        for lstm in (("enc_fw", "enc_bw"), ("dec",)) for kind in "Wb")
+    arrays.update(enc_Wx=enc[:e], enc_Wh=enc[e:], enc_b=enc_b, dec_Wx=dec[:e], dec_Wh=dec[e:],
+                  dec_b=dec_b, init_b=arrays["init_b"].T)
+    return arrays
 
 
 def load_pretrained_vectors(path, vocab, params):
@@ -244,36 +258,30 @@ def _lstm_cell(tape, pre, c_prev):
 
 
 def _bilstm_cell(tape, params):
-    """Both encoder directions' weights as (input weights, recurrent, bias),
-    built once per `encode_input` from the per-gate leaves, in gate-major
-    column order: eight [E x H] input blocks, a [2H x 8H] recurrent matrix,
-    block-diagonal by direction, and a [1 x 8H] bias."""
-    e, h = params.word_dim, params.enc_hidden
-    order = [(d, gate) for gate in _GATES for d in ("enc_fw", "enc_bw")]
-    weights = [params[f"{d}_W{gate}"] for d, gate in order]
-    zero = Tensor(np.zeros((h, h)))
-    w_h = [tape.slice_rows(w, e, e + h) for w in weights]
-    recurrent = tape.stack_rows([
-        tape.concat_cols([w if k % 2 == side else zero for k, w in enumerate(w_h)])
-        for side in (0, 1)])
-    bias = tape.concat_cols([params[f"{d}_b{gate}"] for d, gate in order])
-    return [tape.slice_rows(w, 0, e) for w in weights], recurrent, bias
+    """The encoder's input weight, [2H x 8H] recurrent matrix (block-diagonal
+    by direction, built once per `encode_input`), bias and the 0/1 [1 x 8H]
+    masks of the forward and the backward gate columns."""
+    fw = np.repeat(np.tile([1.0, 0.0], 4), params.enc_hidden)[None, :]
+    masks = Tensor(fw), Tensor(1.0 - fw)
+    recurrent = tape.stack_rows([tape.mul(params["enc_Wh"], m) for m in masks])
+    return params["enc_Wx"], recurrent, params["enc_b"], masks
 
 
 def _run_bilstm(tape, cell, emb):
-    """Per-position [forward; backward] states plus each direction's final state.
+    """Per-position [forward; backward] states plus the last step's [2H x 1]
+    state, which is each direction's final state.
 
-    Both directions step together, as the module docstring lays out. Every
-    gate's input side, bias included, is projected once per sequence, the
-    backward columns over the row-reversed `emb`, and a step picks its row
-    with a one-hot matmul. The [2H x 1] step states become [n x 2H] rows.
+    Both directions step together, as the module docstring lays out. The
+    input side, bias included, is projected once per sequence, its backward
+    columns from the projection's row reversal, and a step picks its row
+    with a one-hot matmul. The step states become [n x 2H] rows.
     """
-    w_x, recurrent, bias = cell
+    w_x, recurrent, bias, (fw_cols, bw_cols) = cell
     n, two_h = emb.shape[0], recurrent.shape[0]
     eye = np.eye(n)
-    reversed_emb = tape.matmul(Tensor(eye[::-1]), emb)
-    proj = tape.add(tape.concat_cols([tape.matmul(reversed_emb if k % 2 else emb, w)
-                                      for k, w in enumerate(w_x)]), bias)
+    xw = tape.matmul(emb, w_x)
+    proj = tape.add(tape.add(tape.mul(xw, fw_cols),
+                             tape.mul(tape.matmul(Tensor(eye[::-1]), xw), bw_cols)), bias)
     h = c = Tensor(np.zeros((two_h, 1)))
     hs = []
     for t in range(n):
@@ -284,7 +292,7 @@ def _run_bilstm(tape, cell, emb):
     pick = np.eye(two_h)
     fw = tape.matmul(tape.concat_cols(hs), Tensor(pick[:, :two_h // 2]), transpose_a=True)
     bw = tape.matmul(tape.concat_cols(hs[::-1]), Tensor(pick[:, two_h // 2:]), transpose_a=True)
-    return tape.concat_cols([fw, bw]), tape.slice_rows(fw, n - 1, n), tape.slice_rows(bw, 0, 1)
+    return tape.concat_cols([fw, bw]), h
 
 
 def embed_inputs(tape, params, token_ids, char_id_lists, type_ids):
@@ -318,8 +326,7 @@ class EncodedInput:
     attn_states: list
     copy_states: Tensor
     copy_tokens: list
-    final_fw: Tensor
-    final_bw: Tensor
+    final: Tensor  # [2H x 1]: the (question) encoder's final [forward; backward] state
     cache: dict = field(default_factory=dict)
 
 
@@ -354,7 +361,7 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
         chars = p_chars + [[]] + q_chars
         types = p_types + [text.TYPE_PARAGRAPH] + q_types
         emb = _maybe_drop(tape, embed_inputs(tape, params, ids, chars, types), drops)
-        states, final_fw, final_bw = _run_bilstm(tape, _bilstm_cell(tape, params), emb)
+        states, final = _run_bilstm(tape, _bilstm_cell(tape, params), emb)
         states = _maybe_drop(tape, states, drops)
         # copy candidates cover the real source tokens, not the separator
         np_ = len(paragraph_tokens)
@@ -363,21 +370,19 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
             tape.slice_rows(states, np_ + 1, states.shape[0]),
         ])
         return EncodedInput("seq2seq", [states], copy_states,
-                            list(paragraph_tokens) + list(question_tokens),
-                            final_fw, final_bw)
+                            list(paragraph_tokens) + list(question_tokens), final)
 
     emb_p = _maybe_drop(tape, embed_inputs(tape, params, p_ids, p_chars, p_types), drops)
     emb_q = _maybe_drop(tape, embed_inputs(tape, params, q_ids, q_chars, q_types), drops)
     cell = _bilstm_cell(tape, params)
-    raw_p, _, _ = _run_bilstm(tape, cell, emb_p)
-    raw_q, final_fw, final_bw = _run_bilstm(tape, cell, emb_q)
+    raw_p, _ = _run_bilstm(tape, cell, emb_p)
+    raw_q, final = _run_bilstm(tape, cell, emb_q)
     raw_p = _maybe_drop(tape, raw_p, drops)
     raw_q = _maybe_drop(tape, raw_q, drops)
     states_p, states_q = interact(tape, params, raw_p, raw_q)
     copy_states = tape.stack_rows([states_q, states_p])
     return EncodedInput("pair2seq", [states_p, states_q], copy_states,
-                        list(question_tokens) + list(paragraph_tokens),
-                        final_fw, final_bw)
+                        list(question_tokens) + list(paragraph_tokens), final)
 
 
 def interact(tape, params, states_p, states_q):
@@ -422,13 +427,11 @@ class DecoderStepOutput:
 
 
 def init_decoder(tape, params, enc):
-    """Initial one-row decoder state from the (question) encoder's final states."""
-    s0 = tape.tanh(tape.add(
-        tape.matmul(tape.concat_cols([enc.final_fw, enc.final_bw]), params["init_W"]),
-        params["init_b"]))
+    """Initial one-row decoder state from the (question) encoder's final state."""
+    hidden = tape.tanh(tape.add(tape.matmul(params["init_W"], enc.final, transpose_a=True),
+                                params["init_b"]))
     zero = Tensor(np.zeros((params.state_size, 1)))
-    column = tape.matmul(s0, Tensor(np.ones((1, 1))), transpose_a=True)  # exact: s0 times 1.0
-    return DecoderState(column, zero, [zero] * params.n_contexts)
+    return DecoderState(hidden, zero, [zero] * params.n_contexts)
 
 
 def _cached(enc, name, build):
@@ -436,15 +439,6 @@ def _cached(enc, name, build):
     if name not in enc.cache:
         enc.cache[name] = build()
     return enc.cache[name]
-
-
-def _decoder_gates(tape, params):
-    """The four decoder gates as one weight, split into its word rows and its
-    [contexts; hidden] rows, plus one bias, in gate-major i, f, o, c columns."""
-    weight = tape.concat_cols([params[f"dec_W{gate}"] for gate in _GATES])
-    e = params.word_dim
-    return (tape.slice_rows(weight, 0, e), tape.slice_rows(weight, e, weight.shape[0]),
-            tape.concat_cols([params[f"dec_b{gate}"] for gate in _GATES]))
 
 
 def _cols(tape, tensors):
@@ -468,7 +462,7 @@ def decode_step(tape, params, enc, state, prev_ids, drops=None):
     steps, rest = divmod(len(ids), rows)
     if rest or not steps:
         raise TapeError(f"decode_step: {len(ids)} previous ids for {rows} state rows")
-    w_word, w_state, bias = _cached(enc, "dec_gates", lambda: _decoder_gates(tape, params))
+    w_word, w_state, bias = params["dec_Wx"], params["dec_Wh"], params["dec_b"]
     keys = [_cached(enc, f"attn_keys_{j}", lambda: tape.matmul(states, params["attn_W"]))
             for j, states in enumerate(enc.attn_states)]
     words = tape.add(tape.matmul(tape.embedding(params["word_emb"], ids), w_word), bias)

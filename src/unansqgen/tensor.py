@@ -571,7 +571,7 @@ def _run_share(k):
 # Checkpoint files: little-endian binary, one record per named tensor.
 
 _CKPT_MAGIC = b"UQGCKPT\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # the record format is version 1's; `model` reads both
 
 
 def save_checkpoint(path, named_tensors):
@@ -610,9 +610,9 @@ def load_checkpoint(path):
         return offset - n
 
     version, count = struct.unpack_from("<II", blob, take(8, "the header"))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint format version {version}, this build reads version {CHECKPOINT_VERSION}")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"{path}: checkpoint format version {version}, "
+                              f"this build reads versions 1 and {CHECKPOINT_VERSION}")
     out = {}
     for k in range(count):
         what = f"record {k + 1} of {count}"

@@ -89,8 +89,8 @@ def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=TrainConfig.ma
 class AdagradState:
     """Per-parameter squared-gradient accumulators, initialized at 0.1."""
 
-    def __init__(self, params, init=0.1):
-        self.acc = {name: np.full(t.data.shape, init) for name, t in params.items()}
+    def __init__(self, params):
+        self.acc = {name: np.full(t.data.shape, 0.1) for name, t in params.items()}
         self.skipped = 0
 
 

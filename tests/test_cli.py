@@ -1,15 +1,17 @@
 """Command-line tests: the full pipeline on a synthetic corpus, error paths."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import synthetic_squad, write_squad
+from conftest import synthetic_squad, toy_corpus, toy_vocab, write_squad
 from unansqgen import cli, data, text
 from unansqgen.cli import main
 from unansqgen.decode import load_generations
 from unansqgen.fileio import atomic_write
 from unansqgen.model import ModelParams
+from unansqgen.tensor import CHECKPOINT_VERSION, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +240,60 @@ def test_generate_truncated_checkpoint_is_one_error_line(pipeline, tmp_path, cap
     assert err.startswith("error:") and err.count("\n") == 1
     assert "truncated" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change,named", [
+    ("missing", "'dec_Wo'"),
+    ("fewer-rows", "version-1 gate tensors do not join"),
+    ("fewer-columns", "'enc_Wx'"),
+])
+def test_generate_version_1_checkpoint_with_a_bad_gate_tensor_is_one_error_line(
+        tmp_path, capsys, change, named):
+    fixture = Path(__file__).parent / "fixtures" / "toy-seq2seq.ckpt"
+    arrays = load_checkpoint(fixture)
+    if change == "missing":
+        del arrays["dec_Wo"]
+    else:
+        w = arrays["enc_bw_Wf"]
+        arrays["enc_bw_Wf"] = w[:-1] if change == "fewer-rows" else w[:, :-1]
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, arrays)
+    blob = bytearray(ckpt.read_bytes())
+    blob[8] = 1  # a version-1 header, as the sidecar says
+    ckpt.write_bytes(bytes(blob))
+    (tmp_path / "m.ckpt.json").write_bytes(Path(f"{fixture}.json").read_bytes())
+    vocab, pairs, out = tmp_path / "vocab.txt", tmp_path / "pairs.tsv", tmp_path / "g"
+    text.save_vocab(vocab, toy_vocab())
+    data.save_pairs(pairs, toy_corpus()[0])
+    rc = main(["generate", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+               "--input", str(pairs), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,where", [
+    ("paragraphs", 5, "data[0]"),
+    ("qas", 5, "data[0].paragraphs[0]"),
+    ("question", 5, "data[0].paragraphs[0].qas[0]"),
+    ("is_impossible", "false", "data[0].paragraphs[0].qas[0]"),
+])
+def test_align_mistyped_squad_field_is_one_error_line(tmp_path, capsys, key, value, where):
+    doc = synthetic_squad(2, 1, seed=5)
+    article = doc["data"][0]
+    paragraph = article["paragraphs"][0]
+    {"paragraphs": article, "qas": paragraph}.get(key, paragraph["qas"][0])[key] = value
+    squad = write_squad(tmp_path / "c.json", doc)
+    outs = [tmp_path / "p", tmp_path / "h", tmp_path / "v"]
+    rc = main(["align", "--squad", squad, "--out-pairs", str(outs[0]),
+               "--out-holdout", str(outs[1]), "--out-vocab", str(outs[2])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"c.json: {where}: " in err and repr(key) in err
+    assert not any(path.exists() for path in outs)
 
 
 def test_generate_vocab_size_mismatch(pipeline, tmp_path, capsys):
@@ -527,10 +583,11 @@ def test_unknown_mode_rejected_on_command_line_and_in_config(pipeline, tmp_path,
      "missing key 'model.vocab_size'"),
     ({"model": {"mode": "seq2seq", "vocab_size": 7, "word_dim": 6, "enc_hidden": 3}},
      "missing key 'format_version'"),
-    ({"format_version": 2, "model": {"mode": "seq2seq", "vocab_size": 7, "word_dim": 6,
-                                     "enc_hidden": 3}}, "'format_version'"),
+    ({"format_version": CHECKPOINT_VERSION + 1, "model": {"mode": "seq2seq", "vocab_size": 7,
+                                                          "word_dim": 6, "enc_hidden": 3}},
+     "'format_version'"),
 ], ids=["list", "model-list", "string-vocab-size", "float-word-dim", "bool-enc-hidden",
-        "zero-vocab-size", "no-mode", "no-vocab-size", "no-format-version", "version-2"])
+        "zero-vocab-size", "no-mode", "no-vocab-size", "no-format-version", "next-version"])
 def test_generate_malformed_sidecar_is_one_error_line(pipeline, tmp_path, capsys,
                                                       sidecar, key):
     ckpt = tmp_path / "m.ckpt"

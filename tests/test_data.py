@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from unansqgen import data as data_module
 from unansqgen.data import (
+    QUESTION_TOKEN_CAP,
     AlignedPair,
     DatasetError,
     ParagraphRecord,
@@ -292,13 +294,14 @@ def test_align_counts_expanded_spans():
     assert (pairs[0].answer_start, pairs[0].answer_end) == (0, 1)
 
 
-def test_align_drops_pivot_beyond_cap():
+def test_align_drops_pivot_beyond_cap(monkeypatch):
     context = "alpha beta gamma delta epsilon"
     rec = make_paragraph(context, [
         QuestionRecord("a1", "what is last ?", False, [("epsilon", 23)]),
         QuestionRecord("u1", "what is first ?", True, [("epsilon", 23)]),
     ])
-    pairs, stats = align_pairs([rec], paragraph_cap=2)
+    monkeypatch.setattr(data_module, "PARAGRAPH_TOKEN_CAP", 2)
+    pairs, stats = align_pairs([rec])
     assert pairs == [] and stats.dropped_pivots == 1
 
 
@@ -319,8 +322,8 @@ def test_align_question_cap_truncates():
         QuestionRecord("a1", long_q, False, [("alpha", 0)]),
         QuestionRecord("u1", "short ?", True, [("alpha", 0)]),
     ])
-    pairs, _ = align_pairs([rec], question_cap=50)
-    assert len(pairs[0].answerable_tokens) == 50
+    pairs, _ = align_pairs([rec])
+    assert len(pairs[0].answerable_tokens) == QUESTION_TOKEN_CAP == 50
 
 
 def test_align_skips_questions_without_tokens():
@@ -371,12 +374,6 @@ def test_split_holdout_fraction_band():
         _, hold = split_holdout(pairs, seed=seed)
         frac = len(hold) / len(pairs)
         assert 0.08 <= frac <= 0.12
-
-
-def test_split_holdout_explicit_titles():
-    pairs = make_pairs({"a": 10, "b": 10})
-    train, hold = split_holdout(pairs, seed=1, titles=["a", "b", "empty"])
-    assert len(train) + len(hold) == 20
 
 
 # pair file round-trip

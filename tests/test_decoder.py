@@ -1,101 +1,22 @@
 """The gate-fused, column-state decoder against the four-matrix reference.
 
-`_reference_step`, `_reference_decode_steps` and `_reference_decode_step`
-keep the earlier decoder: a [rows x S] row state, each gate multiplying the
-joined [word; contexts; hidden] row by its own matrix, one entry point for k
-teacher-forced steps of one row and one for a single step of many rows.
-`model.decode_step` must give the same losses, gradients and beams.
+The reference (`conftest._reference_decode` and its helpers, run by the
+`reference_model` fixture) keeps checkpoint version 1's decoder: a [rows x
+S] row state, each gate multiplying the joined [word; contexts; hidden] row
+by its own matrix, one entry point for k teacher-forced steps of one row
+and one for a single step of many rows. On `_join_gates` of the same
+per-gate arrays, `model.decode_step` must give the same losses, gradients
+and beams.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_pair, toy_vocab
-from test_encoder import _reference_lstm_step, assert_grads_match
+from conftest import assert_joined_grads_match, gate_twin, make_pair, toy_vocab
 from unansqgen import decode, model, text, train
-from unansqgen.model import (DecoderState, DecoderStepOutput, DropStream, ModelParams,
-                             decode_step, encode_input, init_decoder)
-from unansqgen.tensor import Tape, Tensor, backward
-
-
-def _reference_init_decoder(tape, params, enc):
-    s0 = tape.tanh(tape.add(
-        tape.matmul(tape.concat_cols([enc.final_fw, enc.final_bw]), params["init_W"]),
-        params["init_b"]))
-    zero = Tensor(np.zeros((1, params.state_size)))
-    return DecoderState(s0, zero, [zero] * params.n_contexts)
-
-
-def _rows(tape, tensors):
-    return tensors[0] if len(tensors) == 1 else tape.stack_rows(tensors)
-
-
-def _reference_step(tape, params, enc, state, y, drops):
-    x = tape.concat_cols([y] + state.contexts)
-    hidden, cell = _reference_lstm_step(tape, params, "dec", x, state.hidden, state.cell)
-    out_hidden = model._maybe_drop(tape, hidden, drops)
-    contexts = []
-    for states in enc.attn_states:
-        keys = tape.matmul(states, params["attn_W"])
-        gamma = tape.row_softmax(tape.matmul(hidden, keys, transpose_b=True))
-        contexts.append(tape.matmul(gamma, states))
-    return DecoderState(hidden, cell, contexts), out_hidden
-
-
-def _reference_output_layer(tape, params, enc, states, out_hiddens):
-    features = tape.concat_cols([_rows(tape, out_hiddens)]
-                                + [_rows(tape, c) for c in zip(*(s.contexts for s in states))])
-    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]),
-                                        params["out_b"]))
-    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]), params["gate_b"]))
-    copy_keys = tape.matmul(enc.copy_states, params["copy_W"])
-    copy_attn = tape.row_softmax(tape.matmul(_rows(tape, [s.hidden for s in states]),
-                                             copy_keys, transpose_b=True))
-    return DecoderStepOutput(states[-1], gate, p_vocab, copy_attn)
-
-
-def _reference_decode_steps(tape, params, enc, state, prev_token_ids, drops=None):
-    k = len(prev_token_ids)
-    ys = tape.embedding(params["word_emb"], prev_token_ids)
-    states, out_hiddens = [], []
-    for t in range(k):
-        y = ys if k == 1 else tape.slice_rows(ys, t, t + 1)
-        state, out_hidden = _reference_step(tape, params, enc, state, y, drops)
-        states.append(state)
-        out_hiddens.append(out_hidden)
-    return _reference_output_layer(tape, params, enc, states, out_hiddens)
-
-
-def _reference_decode_step(tape, params, enc, state, prev_token_ids, drops=None):
-    y = tape.embedding(params["word_emb"], prev_token_ids)
-    state, out_hidden = _reference_step(tape, params, enc, state, y, drops)
-    return _reference_output_layer(tape, params, enc, [state], [out_hidden])
-
-
-def _reference_decode(tape, params, enc, state, prev_ids, drops=None):
-    """The earlier entry points: k steps for a one-row state, else one step per row."""
-    ids = [prev_ids] if np.ndim(prev_ids) == 0 else list(prev_ids)
-    run = _reference_decode_steps if state.hidden.shape[0] == 1 else _reference_decode_step
-    return run(tape, params, enc, state, ids, drops)
-
-
-def _reference_gather_rows(tape, state, rows):
-    def take(t):
-        return tape.embedding(t, rows)
-    return DecoderState(take(state.hidden), take(state.cell), [take(c) for c in state.contexts])
-
-
-@pytest.fixture
-def reference_decoder(monkeypatch):
-    """Call `reference_decoder(fn)` to run `fn()` with the four-matrix decoder."""
-    def run(fn):
-        with monkeypatch.context() as m:
-            for owner in (train, decode):
-                m.setattr(owner, "init_decoder", _reference_init_decoder)
-                m.setattr(owner, "decode_step", _reference_decode)
-            m.setattr(decode, "_gather_rows", _reference_gather_rows)
-            return fn()
-    return run
+from unansqgen.model import (DecoderState, DropStream, ModelParams, decode_step, encode_input,
+                             init_decoder)
+from unansqgen.tensor import Tape, backward
 
 
 # targets: lengths 1 and 12, OOV tokens ("xx" is copied from the source, "zz"
@@ -110,41 +31,41 @@ TARGETS = {
 
 @pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
 @pytest.mark.parametrize("case", sorted(TARGETS))
-def test_example_loss_matches_four_matrix_decoder(mode, case, reference_decoder):
+def test_example_loss_matches_four_matrix_decoder(mode, case, reference_model):
     vocab = toy_vocab()
-    params = ModelParams(len(vocab), mode, word_dim=16, enc_hidden=8, seed=len(case))
+    params, twin = gate_twin(len(vocab), mode, word_dim=16, enc_hidden=8, seed=len(case))
     target, max_len = TARGETS[case]
     pair = make_pair(["aa", "xx", "cc", "dd", "bb"], 1, 3, ["ee", "xx", "aa"], target)
 
-    def run():
+    def run(p):
         drops = DropStream((7, len(case)), keep=0.8)
-        tape, loss, steps = train._example_loss(params, vocab, pair, max_len, drops=drops)
+        tape, loss, steps = train._example_loss(p, vocab, pair, max_len, drops=drops)
         return float(loss.data), steps, backward(loss, tape)
 
-    loss, steps, grads = run()
-    want_loss, want_steps, want_grads = reference_decoder(run)
+    loss, steps, grads = run(params)
+    want_loss, want_steps, want_grads = reference_model(lambda: run(twin))
     assert steps == want_steps == min(len(target), max_len - 1) + 1
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-    assert_grads_match(grads, want_grads)
+    assert_joined_grads_match(grads, want_grads, twin)
 
 
 @pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
-def test_beams_and_scores_match_four_matrix_decoder(mode, reference_decoder):
+def test_beams_and_scores_match_four_matrix_decoder(mode, reference_model):
     vocab = toy_vocab()
-    params = ModelParams(len(vocab), mode, word_dim=8, enc_hidden=4, seed=29)
+    params, twin = gate_twin(len(vocab), mode, word_dim=8, enc_hidden=4, seed=29)
     pair = make_pair(["aa", "xx", "cc", "dd"], 0, 2, ["ee", "xx"], ["ee", "bb"])
 
-    def run():
+    def run(p):
         tape = Tape()
-        enc = encode_input(tape, params, vocab, pair.paragraph_tokens, pair.answer_start,
+        enc = encode_input(tape, p, vocab, pair.paragraph_tokens, pair.answer_start,
                            pair.answer_end, pair.answerable_tokens)
-        hyps = decode.beam_search(tape, params, enc, vocab, beam_size=4, max_len=5)
-        return [(h.tokens, h.score, decode.score_sequence(tape, params, enc, vocab, h.surface(),
+        hyps = decode.beam_search(tape, p, enc, vocab, beam_size=4, max_len=5)
+        return [(h.tokens, h.score, decode.score_sequence(tape, p, enc, vocab, h.surface(),
                                                            include_eos=h.finished))
                 for h in hyps]
 
-    got = run()
-    want = reference_decoder(run)
+    got = run(params)
+    want = reference_model(lambda: run(twin))
     assert [tokens for tokens, _, _ in got] == [tokens for tokens, _, _ in want]
     for (_, score, rescored), (_, want_score, want_rescored) in zip(got, want):
         assert score == pytest.approx(want_score, rel=0, abs=1e-12)

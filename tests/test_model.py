@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import gate_twin
 from unansqgen.model import (
     ENC_HIDDEN,
     WORD_DIM,
@@ -57,16 +58,21 @@ def test_params_shapes_at_reference_dims():
     assert p["word_emb"].shape == (10, WORD_DIM)
     assert p["char_emb"].shape == (97, WORD_DIM)
     assert p["type_emb"].shape == (3, WORD_DIM)
-    assert p["enc_fw_Wi"].shape == (WORD_DIM + ENC_HIDDEN, ENC_HIDDEN)
-    assert p["enc_bw_bc"].shape == (1, ENC_HIDDEN)
+    assert p["enc_Wx"].shape == (WORD_DIM, 8 * ENC_HIDDEN)
+    assert p["enc_Wh"].shape == (ENC_HIDDEN, 8 * ENC_HIDDEN)
+    assert p["enc_b"].shape == (1, 8 * ENC_HIDDEN)
     s = 2 * ENC_HIDDEN
-    assert p["dec_Wi"].shape == (WORD_DIM + s + s, s)
+    assert p["dec_Wx"].shape == (WORD_DIM, 4 * s)
+    assert p["dec_Wh"].shape == (s + s, 4 * s)
+    assert p["dec_b"].shape == (1, 4 * s)
     assert p["attn_W"].shape == (s, s)
     assert p["copy_W"].shape == (s, s)
     assert p["out_W"].shape == (2 * s, 10)
     assert p["gate_W"].shape == (2 * s, 1)
     assert p["init_W"].shape == (s, s)
+    assert p["init_b"].shape == (s, 1)
     assert "interact_W" not in dict(p.items())
+    assert len(p.parameters()) == 17
 
 
 def test_pair2seq_interaction_shapes_and_shared_encoder():
@@ -75,11 +81,11 @@ def test_pair2seq_interaction_shapes_and_shared_encoder():
     assert p["interact_W"].shape == (s, s)
     assert p["interact_Wp"].shape == (2 * s, s)
     assert p["interact_bp"].shape == (1, s)
-    assert p["dec_Wi"].shape == (WORD_DIM + 2 * s + s, s)
+    assert p["dec_Wh"].shape == (2 * s + s, 4 * s)
     assert p["out_W"].shape == (3 * s, 10)
-    # one encoder weight set only: nothing beyond enc_fw_* / enc_bw_*
-    enc_names = [n for n, _ in p.items() if n.startswith("enc_")]
-    assert all(n.startswith(("enc_fw_", "enc_bw_")) for n in enc_names)
+    # one encoder weight set only, shared by paragraph and question
+    assert [n for n, _ in p.items() if n.startswith("enc_")] == ["enc_Wx", "enc_Wh", "enc_b"]
+    assert len(p.parameters()) == 22
 
 
 def test_params_reject_bad_mode_and_vocab():
@@ -151,8 +157,7 @@ def test_encode_seq2seq_shapes_and_copy_candidates():
     assert enc.attn_states[0].shape == (L, p.state_size)
     assert enc.copy_states.shape == (len(para) + len(question), p.state_size)
     assert enc.copy_tokens == para + question
-    assert enc.final_fw.shape == (1, p.enc_hidden)
-    assert enc.final_bw.shape == (1, p.enc_hidden)
+    assert enc.final.shape == (p.state_size, 1)
 
 
 def test_encode_pair2seq_shapes_and_copy_order():
@@ -217,11 +222,13 @@ def test_bilstm_same_weights_same_states():
     p = small_params("pair2seq")
     rng = np.random.default_rng(3)
     emb = Tensor(rng.uniform(-1, 1, (4, p.word_dim)))
-    s1, f1, b1 = bilstm(p, emb)
-    s2, f2, b2 = bilstm(p, emb)
+    s1, f1 = bilstm(p, emb)
+    s2, f2 = bilstm(p, emb)
     np.testing.assert_array_equal(s1.data, s2.data)
     np.testing.assert_array_equal(f1.data, f2.data)
-    np.testing.assert_array_equal(b1.data, b2.data)
+    # the final state is [last forward state; first backward state]
+    np.testing.assert_array_equal(f1.data[:, 0], np.concatenate([s1.data[-1, :p.enc_hidden],
+                                                                 s1.data[0, p.enc_hidden:]]))
 
 
 def test_bilstm_reversal_semantics():
@@ -231,17 +238,18 @@ def test_bilstm_reversal_semantics():
     rev = emb[::-1].copy()
     h = p.enc_hidden
 
-    states, _, _ = bilstm(p, Tensor(emb))
-    states_r, _, _ = bilstm(p, Tensor(rev))
+    states, _ = bilstm(p, Tensor(emb))
+    states_r, _ = bilstm(p, Tensor(rev))
     # directions hold distinct weights: reversal changes the forward half
     assert not np.allclose(states.data[:, :h], states_r.data[::-1, :h])
 
-    # tie the directions: reversal then mirrors positions and swaps halves
-    for gate in ("i", "f", "o", "c"):
-        p[f"enc_bw_W{gate}"].data = p[f"enc_fw_W{gate}"].data.copy()
-        p[f"enc_bw_b{gate}"].data = p[f"enc_fw_b{gate}"].data.copy()
-    states, _, _ = bilstm(p, Tensor(emb))
-    states_r, _, _ = bilstm(p, Tensor(rev))
+    # tie the directions (copy each gate's forward columns over its backward
+    # ones): reversal then mirrors positions and swaps halves
+    for name in ("enc_Wx", "enc_Wh", "enc_b"):
+        blocks = p[name].data.reshape(len(p[name].data), 4, 2, h)  # gate, direction, unit
+        blocks[:, :, 1] = blocks[:, :, 0]
+    states, _ = bilstm(p, Tensor(emb))
+    states_r, _ = bilstm(p, Tensor(rev))
     swapped = np.concatenate([states.data[:, h:], states.data[:, :h]], axis=1)
     np.testing.assert_allclose(states_r.data, swapped[::-1], atol=1e-12)
 
@@ -303,13 +311,15 @@ def encode_example(p, vocab, tape=None):
 
 
 def test_decode_step_matches_numpy_oracle():
-    p = small_params("seq2seq")
+    # the oracle steps the per-gate (checkpoint version 1) weights that
+    # `p` holds joined
+    p, twin = gate_twin(9, "seq2seq", word_dim=6, enc_hidden=3, seed=13)
     vocab = small_vocab()
     tape, enc = encode_example(p, vocab)
     state = init_decoder(tape, p, enc)
     step = decode_step(tape, p, enc, state, BOS_ID)
 
-    arr = {name: t.data for name, t in p.items()}
+    arr = {name: t.data for name, t in twin.items()}
     h_prev, c_prev = state.hidden.data.T, np.zeros((1, p.state_size))
     x = np.concatenate([arr["word_emb"][[BOS_ID]], np.zeros((1, p.state_size))], axis=1)
     z = np.concatenate([x, h_prev], axis=1)
@@ -389,7 +399,7 @@ def test_row_batched_step_equals_single_row_steps(mode):
 
 def test_extended_vocab_first_occurrence_order():
     vocab = small_vocab()
-    enc = EncodedInput("seq2seq", [], None, ["zz", "aa", "yy", "zz"], None, None)
+    enc = EncodedInput("seq2seq", [], None, ["zz", "aa", "yy", "zz"], None)
     extra, targets = extended_vocab(enc, vocab)
     assert extra == ["zz", "yy"]
     assert targets == [len(vocab), vocab.id("aa"), len(vocab) + 1, len(vocab)]
@@ -398,7 +408,7 @@ def test_extended_vocab_first_occurrence_order():
 def test_final_distribution_gate_endpoints():
     vocab = small_vocab()
     V = len(vocab)
-    enc = EncodedInput("seq2seq", [], None, ["aa", "bb", "aa"], None, None)
+    enc = EncodedInput("seq2seq", [], None, ["aa", "bb", "aa"], None)
     p_vocab = np.full((1, V), 1.0 / V)
     step = DecoderStepOutput(None, Tensor([[1.0]]), Tensor(p_vocab),
                              Tensor([[0.2, 0.5, 0.3]]))
@@ -418,7 +428,7 @@ def test_final_distribution_gate_endpoints():
 def test_final_distribution_mixture_midpoint():
     vocab = small_vocab()
     V = len(vocab)
-    enc = EncodedInput("seq2seq", [], None, ["aa", "qq"], None, None)
+    enc = EncodedInput("seq2seq", [], None, ["aa", "qq"], None)
     p_vocab = np.zeros((1, V))
     p_vocab[0, vocab.id("aa")] = 1.0
     step = DecoderStepOutput(None, Tensor([[0.25]]), Tensor(p_vocab),

@@ -289,22 +289,33 @@ def test_train_builds_each_vocabulary_wide_gradient_once_per_batch(monkeypatch):
 
 
 def test_batch_carries_no_slice_piece_across_tapes(monkeypatch):
-    # the encoder slices its leaf weights; those pieces may view larger
-    # gradients, so each tape sums them into its dense part instead
+    # slice pieces may view larger gradients, so a tape never carries them;
+    # no tape slices or concatenates an LSTM weight, so each carries the
+    # LSTM weights' matmul pieces to the once-per-batch sum instead of
+    # returning them dense
     params = small_params("pair2seq")
-    carried = []
-    real = train_module.sum_gradients
+    carried, dense_names = [], set()
+    real_sum, real_backward = train_module.sum_gradients, train_module.backward
 
     def capture(leaf_pieces, dense):
         carried.append({t.name: list(found) for t, found in leaf_pieces.items()})
-        return real(leaf_pieces, dense)
+        return real_sum(leaf_pieces, dense)
+
+    def tape_dense(loss, tape, leaf_pieces):
+        out = real_backward(loss, tape, leaf_pieces)
+        dense_names.update(t.name for t in out)
+        return out
 
     monkeypatch.setattr(train_module, "sum_gradients", capture)
+    monkeypatch.setattr(train_module, "backward", tape_dense)
     _train_one_batch(params, "pair2seq", monkeypatch)
     (pieces,) = carried
     assert set(pieces) == set(params.tensors)
     assert not any(type(p[0]) is slice for found in pieces.values() for p in found)
-    assert pieces["out_W"] and pieces["word_emb"] and not pieces["enc_fw_Wi"]
+    assert pieces["out_W"] and pieces["word_emb"]
+    for name in ("enc_Wx", "dec_Wx", "dec_Wh"):
+        assert pieces[name] and all(len(p) == 3 for p in pieces[name]), name  # matmul pieces
+    assert not dense_names & {"enc_Wx", "dec_Wx", "dec_Wh"}
 
 
 @pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
