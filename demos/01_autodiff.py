@@ -50,6 +50,6 @@ arrays = {"W1": W1.data, "b1": b1.data, "W2": W2.data}
 with tempfile.TemporaryDirectory(prefix="unansqgen_demo_") as root:
     path = os.path.join(root, "demo_autodiff.ckpt")
     save_checkpoint(path, arrays)
-    loaded = load_checkpoint(path)
+    _, loaded = load_checkpoint(path)
 identical = all(np.array_equal(arrays[k], loaded[k]) for k in arrays)
 print(f"checkpoint round-trip bit-identical: {identical}")

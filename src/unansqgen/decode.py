@@ -9,8 +9,8 @@ import numpy as np
 
 from . import text
 from .fileio import atomic_write
-from .model import (DecoderState, decode_step, encode_input, extended_vocab,
-                    final_distribution, init_decoder)
+from .model import (DecoderState, decode_step, encode_input, final_distribution,
+                    gold_probability, init_decoder)
 from .tensor import Tape, Tensor
 
 BEAM_SIZE, MAX_LEN = 5, 50  # defaults: beam width, decoder steps per generation
@@ -75,8 +75,7 @@ def beam_search(tape, params, enc, vocab, beam_size=BEAM_SIZE, max_len=MAX_LEN):
         raise ValueError(f"beam_search: beam_size must be >= 1, got {beam_size}")
     if max_len < 1:
         raise ValueError(f"beam_search: max_len must be >= 1, got {max_len}")
-    extended = extended_vocab(enc, vocab)[0]
-    width = len(vocab) + len(extended)
+    width = len(vocab) + len(enc.extra)
     state = init_decoder(tape, params, enc)
     beams = [BeamHypothesis([], 0.0, 0, text.BOS_ID)]
     finished = []
@@ -96,7 +95,7 @@ def beam_search(tape, params, enc, vocab, beam_size=BEAM_SIZE, max_len=MAX_LEN):
             if not math.isfinite(flat[slot]):
                 break
             parent, idx = divmod(int(slot), width)
-            surface = vocab.token(idx) if idx < len(vocab) else extended[idx - len(vocab)]
+            surface = vocab.token(idx) if idx < len(vocab) else enc.extra[idx - len(vocab)]
             hyp = BeamHypothesis(beams[parent].tokens + [surface], float(flat[slot]), parent,
                                  idx if idx < len(vocab) else text.UNK_ID)
             if idx == text.EOS_ID:
@@ -122,24 +121,18 @@ def greedy_decode(tape, params, enc, vocab, max_len=MAX_LEN):
 def score_sequence(tape, params, enc, vocab, surface_tokens, include_eos=True):
     """Total log mixture probability of a token sequence, teacher-forced.
 
-    One decoder pass over [BOS] + the previous ids, as in training. Tokens
-    absent from both the vocabulary and the input's copy candidates, or of
-    zero probability, score -inf; an empty sequence scores 0.0. Used to
-    cross-check beam scores.
+    One decoder pass over [BOS] + the previous ids and `gold_probability`,
+    as in training; beam search scores through `final_distribution`, so the
+    two cross-check. Tokens in neither the vocabulary nor the copy candidates,
+    or of zero probability, score -inf; an empty sequence scores 0.0.
     """
     steps = list(surface_tokens) + ([text.EOS] if include_eos else [])
     if not steps:
         return 0.0
-    extra = extended_vocab(enc, vocab)[0]
-    index = {tok: len(vocab) + k for k, tok in enumerate(extra)}
-    ids = [vocab.id(tok) if tok in vocab else index.get(tok) for tok in steps]
-    if None in ids:
-        return -math.inf
-    prev_ids = [text.BOS_ID] + [i if i < len(vocab) else text.UNK_ID for i in ids[:-1]]
+    prev_ids = [text.BOS_ID] + vocab.encode(steps[:-1])
     out = decode_step(tape, params, enc, init_decoder(tape, params, enc), prev_ids)
-    dist, _ = final_distribution(out, enc, vocab)
     total = 0.0
-    for p in dist.reshape(len(ids), -1)[np.arange(len(ids)), ids]:
+    for p in gold_probability(tape, out, enc, vocab, steps).data[:, 0]:
         if p <= 0.0:
             return -math.inf
         total += math.log(p)

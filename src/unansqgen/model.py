@@ -14,13 +14,16 @@ directions as one recurrence over a [2H x 1] state: step t reads position t
 forward and position n-1-t backward, with gate columns [i_fw i_bw f_fw f_bw
 o_fw o_bw c_fw c_bw]. The decoder's recurrent weight reads [contexts;
 hidden], and its [S x rows] state holds one column per beam row.
+`encode_input` records the attention and copy keys and builds the copy map
+once per input; decoder steps, beam search's `final_distribution` and the
+taped `gold_probability` of training and scoring all read that record.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -159,7 +162,8 @@ class ModelParams:
         The sidecar must be an object holding `format_version` 1 (see
         `_join_gates`) or 2 and a `model` object with a known `mode` and
         integer `vocab_size`, `word_dim` and `enc_hidden` of at least 1.
-        Anything else raises ModelError naming the sidecar and the key.
+        Anything else raises ModelError naming the sidecar and the key, and a
+        header version or a parameter that disagrees with it one naming both.
         """
         where = f"{path}.json"
         try:
@@ -189,12 +193,18 @@ class ModelParams:
             field(cfg, f"model.{key}", lambda v: type(v) is int and v >= 1, "an integer >= 1")
             for key in ("vocab_size", "word_dim", "enc_hidden"))
         params = ModelParams(vocab_size, mode, word_dim=word_dim, enc_hidden=enc_hidden, seed=0)
-        arrays = load_checkpoint(path)
+        header, arrays = load_checkpoint(path)
+        if header != version:
+            raise ModelError(f"{path}: format version {header} in the header, "
+                             f"but {where} says {version}")
         try:
             arrays = _join_gates(arrays, word_dim) if version == 1 else arrays
         except (KeyError, ValueError) as exc:
             raise ModelError(f"{path}: version-1 gate tensors do not join: {exc}") from None
-        params.set_arrays(arrays)
+        try:
+            params.set_arrays(arrays)
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc} (the model {where} describes)") from None
         if set(arrays) != set(params.tensors):
             extra = sorted(set(arrays) - set(params.tensors))
             raise ModelError(f"{path}: unexpected parameters {extra}")
@@ -316,18 +326,31 @@ def embed_inputs(tape, params, token_ids, char_id_lists, type_ids):
 
 @dataclass
 class EncodedInput:
-    """Encoder-side states plus the copy-candidate bookkeeping.
+    """Everything a decoder step reads of one encoded input, built once.
 
     attn_states: one state matrix for seq2seq (the packed sequence), two for
-    pair2seq (paragraph first, question second). copy_states rows align with
-    copy_tokens, the surface forms a decoder step may copy.
+    pair2seq (paragraph first, question second), keyed by attn_keys[j] =
+    attn_states[j] @ attn_W. copy_states rows, keyed by copy_keys =
+    copy_states @ copy_W, align with copy_tokens, the surface forms a decoder
+    step may copy. The copy map, built from `vocab`: `extra` holds the
+    out-of-vocabulary copy surfaces in first-occurrence order, and copy_ids
+    each position's extended id, its vocabulary id or |V| + its `extra` index.
     """
-    mode: str
     attn_states: list
+    attn_keys: list
     copy_states: Tensor
+    copy_keys: Tensor
     copy_tokens: list
     final: Tensor  # [2H x 1]: the (question) encoder's final [forward; backward] state
-    cache: dict = field(default_factory=dict)
+    vocab: InitVar[text.Vocab]
+    extra: list = field(init=False)
+    copy_ids: list = field(init=False)
+
+    def __post_init__(self, vocab):
+        oov = {}  # out-of-vocabulary surface -> its extended id
+        self.copy_ids = [vocab.id(tok) if tok in vocab else
+                         oov.setdefault(tok, len(vocab) + len(oov)) for tok in self.copy_tokens]
+        self.extra = list(oov)
 
 
 def _paragraph_fields(vocab, paragraph_tokens, answer_start, answer_end):
@@ -344,7 +367,8 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
 
     seq2seq packs [paragraph, <sep>, question] into a single sequence whose
     separator is typed as paragraph; pair2seq encodes the two sequences with
-    the shared cell weights and applies the interaction layer.
+    the shared cell weights and applies the interaction layer. Both end in
+    one place, which records the keys and builds the copy map.
     """
     if not paragraph_tokens or not question_tokens:
         raise ModelError("encode_input: empty paragraph or question")
@@ -363,26 +387,24 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
         emb = _maybe_drop(tape, embed_inputs(tape, params, ids, chars, types), drops)
         states, final = _run_bilstm(tape, _bilstm_cell(tape, params), emb)
         states = _maybe_drop(tape, states, drops)
-        # copy candidates cover the real source tokens, not the separator
-        np_ = len(paragraph_tokens)
-        copy_states = tape.stack_rows([
-            tape.slice_rows(states, 0, np_),
-            tape.slice_rows(states, np_ + 1, states.shape[0]),
-        ])
-        return EncodedInput("seq2seq", [states], copy_states,
-                            list(paragraph_tokens) + list(question_tokens), final)
-
-    emb_p = _maybe_drop(tape, embed_inputs(tape, params, p_ids, p_chars, p_types), drops)
-    emb_q = _maybe_drop(tape, embed_inputs(tape, params, q_ids, q_chars, q_types), drops)
-    cell = _bilstm_cell(tape, params)
-    raw_p, _ = _run_bilstm(tape, cell, emb_p)
-    raw_q, final = _run_bilstm(tape, cell, emb_q)
-    raw_p = _maybe_drop(tape, raw_p, drops)
-    raw_q = _maybe_drop(tape, raw_q, drops)
-    states_p, states_q = interact(tape, params, raw_p, raw_q)
-    copy_states = tape.stack_rows([states_q, states_p])
-    return EncodedInput("pair2seq", [states_p, states_q], copy_states,
-                        list(question_tokens) + list(paragraph_tokens), final)
+        np_ = len(paragraph_tokens)  # copy candidates skip the separator
+        copy_states = tape.stack_rows([tape.slice_rows(states, 0, np_),
+                                       tape.slice_rows(states, np_ + 1, states.shape[0])])
+        attn_states, copy_tokens = [states], list(paragraph_tokens) + list(question_tokens)
+    else:
+        emb_p = _maybe_drop(tape, embed_inputs(tape, params, p_ids, p_chars, p_types), drops)
+        emb_q = _maybe_drop(tape, embed_inputs(tape, params, q_ids, q_chars, q_types), drops)
+        cell = _bilstm_cell(tape, params)
+        raw_p, _ = _run_bilstm(tape, cell, emb_p)
+        raw_q, final = _run_bilstm(tape, cell, emb_q)
+        raw_p = _maybe_drop(tape, raw_p, drops)
+        raw_q = _maybe_drop(tape, raw_q, drops)
+        attn_states = list(interact(tape, params, raw_p, raw_q))
+        copy_states = tape.stack_rows(attn_states[::-1])
+        copy_tokens = list(question_tokens) + list(paragraph_tokens)
+    attn_keys = [tape.matmul(states, params["attn_W"]) for states in attn_states]
+    return EncodedInput(attn_states, attn_keys, copy_states,
+                        tape.matmul(copy_states, params["copy_W"]), copy_tokens, final, vocab)
 
 
 def interact(tape, params, states_p, states_q):
@@ -392,22 +414,15 @@ def interact(tape, params, states_p, states_q):
     matrix normalize over question positions (paragraph side), columns over
     paragraph positions (question side).
     """
-    scores_pq = tape.matmul(tape.matmul(states_p, params["interact_W"]), states_q,
-                            transpose_b=True)
-    alpha = tape.row_softmax(scores_pq)
-    attended_p = tape.matmul(alpha, states_q)
-    fused_p = tape.tanh(tape.add(
-        tape.matmul(tape.concat_cols([states_p, attended_p]), params["interact_Wp"]),
-        params["interact_bp"]))
+    def fuse(own, other, side):  # the question side scores through interact_W's transpose
+        scores = tape.matmul(tape.matmul(own, params["interact_W"], transpose_b=side == "q"),
+                             other, transpose_b=True)
+        attended = tape.matmul(tape.row_softmax(scores), other)
+        return tape.tanh(tape.add(tape.matmul(tape.concat_cols([own, attended]),
+                                              params[f"interact_W{side}"]),
+                                  params[f"interact_b{side}"]))
 
-    scores_qp = tape.matmul(tape.matmul(states_q, params["interact_W"], transpose_b=True),
-                            states_p, transpose_b=True)
-    beta = tape.row_softmax(scores_qp)
-    attended_q = tape.matmul(beta, states_p)
-    fused_q = tape.tanh(tape.add(
-        tape.matmul(tape.concat_cols([states_q, attended_q]), params["interact_Wq"]),
-        params["interact_bq"]))
-    return fused_p, fused_q
+    return fuse(states_p, states_q, "p"), fuse(states_q, states_p, "q")
 
 
 @dataclass
@@ -434,13 +449,6 @@ def init_decoder(tape, params, enc):
     return DecoderState(hidden, zero, [zero] * params.n_contexts)
 
 
-def _cached(enc, name, build):
-    """`build()`, once per encoded input (so once per tape)."""
-    if name not in enc.cache:
-        enc.cache[name] = build()
-    return enc.cache[name]
-
-
 def _cols(tape, tensors):
     return tensors[0] if len(tensors) == 1 else tape.concat_cols(tensors)
 
@@ -463,8 +471,6 @@ def decode_step(tape, params, enc, state, prev_ids, drops=None):
     if rest or not steps:
         raise TapeError(f"decode_step: {len(ids)} previous ids for {rows} state rows")
     w_word, w_state, bias = params["dec_Wx"], params["dec_Wh"], params["dec_b"]
-    keys = [_cached(enc, f"attn_keys_{j}", lambda: tape.matmul(states, params["attn_W"]))
-            for j, states in enumerate(enc.attn_states)]
     words = tape.add(tape.matmul(tape.embedding(params["word_emb"], ids), w_word), bias)
     hidden, cell, contexts = state.hidden, state.cell, state.contexts
     hiddens, out_hiddens, step_contexts = [], [], []
@@ -473,7 +479,7 @@ def decode_step(tape, params, enc, state, prev_ids, drops=None):
                        tape.matmul(w_state, tape.stack_rows(contexts + [hidden]), transpose_a=True))
         hidden, cell = _lstm_cell(tape, pre, cell)
         contexts = []
-        for states, key in zip(enc.attn_states, keys):
+        for states, key in zip(enc.attn_states, enc.attn_keys):
             gamma = tape.row_softmax(tape.matmul(hidden, key, transpose_a=True, transpose_b=True))
             contexts.append(tape.matmul(states, gamma, transpose_a=True, transpose_b=True))
         hiddens.append(hidden)
@@ -485,29 +491,15 @@ def decode_step(tape, params, enc, state, prev_ids, drops=None):
                                         params["out_b"]))
     gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"], transpose_a=True),
                                  params["gate_b"]))
-    copy_keys = _cached(enc, "copy_keys", lambda: tape.matmul(enc.copy_states, params["copy_W"]))
-    copy_attn = tape.row_softmax(tape.matmul(_cols(tape, hiddens), copy_keys,
+    copy_attn = tape.row_softmax(tape.matmul(_cols(tape, hiddens), enc.copy_keys,
                                              transpose_a=True, transpose_b=True))
     return DecoderStepOutput(DecoderState(hidden, cell, contexts), gate, p_vocab, copy_attn)
 
 
 def extended_vocab(enc, vocab):
-    """(extra surface forms, per-copy-position target index) for one input.
-
-    Copy positions holding in-vocabulary tokens point at the vocabulary id;
-    out-of-vocabulary surfaces get ids |V|, |V|+1, ... in first-occurrence
-    order.
-    """
-    if "extvocab" not in enc.cache:
-        index = {}  # out-of-vocabulary surface -> its id, in first-occurrence order
-        targets = []
-        for tok in enc.copy_tokens:
-            if tok in vocab:
-                targets.append(vocab.id(tok))
-            else:
-                targets.append(index.setdefault(tok, len(vocab) + len(index)))
-        enc.cache["extvocab"] = (list(index), targets)
-    return enc.cache["extvocab"]
+    """(extra surface forms, per-copy-position extended id): the copy map
+    `encode_input` built for `enc` from `vocab` (see `EncodedInput`)."""
+    return enc.extra, enc.copy_ids
 
 
 def final_distribution(step, enc, vocab):
@@ -518,10 +510,27 @@ def final_distribution(step, enc, vocab):
     Returns (probabilities, extra surface forms): a 1-D array for a one-row
     step, else one row per step row. Detached numpy; inference only.
     """
-    extra, targets = extended_vocab(enc, vocab)
     g = step.gate.data
-    dist = np.zeros((g.shape[0], len(vocab) + len(extra)))
+    dist = np.zeros((g.shape[0], len(vocab) + len(enc.extra)))
     dist[:, :len(vocab)] = g * step.p_vocab.data
     # adding into the transposed grid keeps each row's accumulation order
-    np.add.at(dist.T, targets, ((1.0 - g) * step.copy_attn.data).T)
-    return (dist[0] if g.shape[0] == 1 else dist), extra
+    np.add.at(dist.T, enc.copy_ids, ((1.0 - g) * step.copy_attn.data).T)
+    return (dist[0] if g.shape[0] == 1 else dist), enc.extra
+
+
+def gold_probability(tape, step, enc, vocab, tokens):
+    """Taped [steps x 1] mixture probability of tokens[t] at row t of `step`.
+
+    `final_distribution`'s value, read through one-hot and copy-indicator rows
+    that mark each token's extended id; a token in neither part gets 0.
+    """
+    n_vocab, n_copy = len(vocab), len(enc.copy_ids)
+    ids = np.array([[vocab.id(tok) if tok in vocab else
+                     n_vocab + enc.extra.index(tok) if tok in enc.extra else -1]
+                    for tok in tokens])
+    onehot = Tensor((ids == np.arange(n_vocab)).astype(np.float64))
+    indicator = Tensor((ids == np.array(enc.copy_ids)).astype(np.float64))
+    vocab_mass = tape.matmul(tape.mul(step.p_vocab, onehot), Tensor(np.ones((n_vocab, 1))))
+    copy_mass = tape.matmul(tape.mul(step.copy_attn, indicator), Tensor(np.ones((n_copy, 1))))
+    inv_gate = tape.add(Tensor(np.ones((1, 1))), tape.scale(step.gate, -1.0))
+    return tape.add(tape.mul(step.gate, vocab_mass), tape.mul(inv_gate, copy_mass))

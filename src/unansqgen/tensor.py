@@ -418,7 +418,6 @@ def backward(loss, tape, leaf_pieces=None):
     grads = {id(loss): np.ones_like(loss.data)}
     holder = {id(loss): loss}
     pieces = {}  # id(tensor) -> the tensor's deferred pieces
-    passed = set()  # ids of arrays a vjp handed on unchanged: pieces or other leaves may hold them
 
     for e in reversed(tape.entries):
         key = id(e.output)
@@ -437,8 +436,6 @@ def backward(loss, tape, leaf_pieces=None):
                 grads[key] = grads[key] + gi
             else:
                 grads[key] = gi
-                if gi is g:
-                    passed.add(id(gi))
     out = {}
     for key, t in holder.items():
         if t.requires_grad:
@@ -446,9 +443,11 @@ def backward(loss, tape, leaf_pieces=None):
             if leaf_pieces is not None:
                 leaf_pieces.setdefault(t, []).extend(p for p in found if type(p[0]) is not slice)
                 found = [p for p in found if type(p[0]) is slice]
-            g = _plus_pieces(grads.pop(key, None), found, t)
-            if g is not None:
-                out[t] = g.copy() if g.base is not None or id(g) in passed else g
+            g = grads.pop(key, None)
+            if found:  # a piece sum is a new array
+                out[t] = _plus_pieces(g, found, t)
+            elif g is not None:  # a vjp may have handed it on, or viewed another array
+                out[t] = g.copy()
     return out
 
 
@@ -590,7 +589,8 @@ def save_checkpoint(path, named_tensors):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back as an ordered {name: float64 array} mapping.
+    """Read a checkpoint back as (its header's format version, an ordered
+    {name: float64 array} mapping).
 
     Every read is bounds-checked: a truncated or corrupt file raises
     CheckpointError, never a struct or buffer error.
@@ -630,4 +630,4 @@ def load_checkpoint(path):
         out[name] = values.reshape(shape)
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after the last record")
-    return out
+    return version, out

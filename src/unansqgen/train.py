@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import text
-from .model import (MODES, DropStream, ModelParams, decode_step, encode_input, init_decoder,
-                    load_pretrained_vectors)
+from .model import (MODES, DropStream, ModelParams, decode_step, encode_input, gold_probability,
+                    init_decoder, load_pretrained_vectors)
 from .tensor import Tape, Tensor, TapeError, backward, sum_gradients
 
 
@@ -49,11 +49,11 @@ def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=TrainConfig.ma
                  drops=None):
     """Teacher-forced -sum log(P(target_t) + 1e-12) for one example.
 
-    The step probability is the mixture value of the gold token: gate-scaled
-    vocabulary probability (for in-vocabulary targets) plus copy attention
-    summed over the token's source occurrences. An out-of-vocabulary target
-    is credited with its copy mass only. Targets longer than max_len - 1 are
-    truncated before the closing EOS.
+    The step probability is the gold token's mixture value (`gold_probability`):
+    gate-scaled vocabulary probability (for in-vocabulary targets) plus copy
+    attention summed over the token's source occurrences. An out-of-vocabulary
+    target is credited with its copy mass only. Targets longer than
+    max_len - 1 are truncated before the closing EOS.
 
     Returns (loss Tensor, step count, truncated flag).
     """
@@ -65,22 +65,7 @@ def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=TrainConfig.ma
     prev_ids = [text.BOS_ID] + [vocab.id(tok) for tok in targets[:-1]]
 
     out = decode_step(tape, params, enc, init_decoder(tape, params, enc), prev_ids, drops=drops)
-    # Gold probabilities are read through constant masks: row t of `onehot`
-    # and `indicator` marks target t in the vocabulary and among the copy
-    # positions. An out-of-vocabulary target has an all-zero onehot row, so
-    # it is credited with its copy mass only.
-    onehot = np.zeros((len(targets), len(vocab)))
-    indicator = np.zeros((len(targets), len(enc.copy_tokens)))
-    for t, tok in enumerate(targets):
-        if tok in vocab:
-            onehot[t, vocab.id(tok)] = 1.0
-        indicator[t] = [source_tok == tok for source_tok in enc.copy_tokens]
-    vocab_mass = tape.matmul(tape.mul(out.p_vocab, Tensor(onehot)),
-                             Tensor(np.ones((len(vocab), 1))))
-    copy_mass = tape.matmul(tape.mul(out.copy_attn, Tensor(indicator)),
-                            Tensor(np.ones((len(enc.copy_tokens), 1))))
-    inv_gate = tape.add(Tensor(np.ones((1, 1))), tape.scale(out.gate, -1.0))
-    prob = tape.add(tape.mul(out.gate, vocab_mass), tape.mul(inv_gate, copy_mass))
+    prob = gold_probability(tape, out, enc, vocab, targets)
     log_terms = tape.log(tape.add(prob, Tensor(np.full((1, 1), 1e-12))))
     loss = tape.scale(tape.sum(log_terms), -1.0)
     return loss, len(targets), truncated
@@ -223,7 +208,9 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
                     n_examples += 1
             except TapeError as exc:
                 raise TrainingError(f"epoch {epoch} batch {bi}: {exc}") from None
-            grads = {t.name: g for t, g in sum_gradients(leaf_pieces, dense).items()}
+            summed = sum_gradients(leaf_pieces, dense)
+            # in parameter order, so the clip norm's sum does not follow the tapes
+            grads = {name: summed[t] for name, t in params.items() if t in summed}
             for g in grads.values():
                 g /= len(batch)
             adagrad_step(params, grads, opt, config.learning_rate, config.clip_norm)

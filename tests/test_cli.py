@@ -250,7 +250,7 @@ def test_generate_truncated_checkpoint_is_one_error_line(pipeline, tmp_path, cap
 def test_generate_version_1_checkpoint_with_a_bad_gate_tensor_is_one_error_line(
         tmp_path, capsys, change, named):
     fixture = Path(__file__).parent / "fixtures" / "toy-seq2seq.ckpt"
-    arrays = load_checkpoint(fixture)
+    _, arrays = load_checkpoint(fixture)
     if change == "missing":
         del arrays["dec_Wo"]
     else:
@@ -271,6 +271,29 @@ def test_generate_version_1_checkpoint_with_a_bad_gate_tensor_is_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header,sidecar", [(1, 2), (2, 1)])
+def test_generate_header_and_sidecar_versions_disagreeing_is_one_error_line(
+        tmp_path, capsys, header, sidecar):
+    fixture = Path(__file__).parent / "fixtures" / "toy-seq2seq.ckpt"  # version 1
+    ckpt = tmp_path / "m.ckpt"
+    blob = bytearray(fixture.read_bytes())
+    blob[8] = header
+    ckpt.write_bytes(bytes(blob))
+    meta = json.loads(Path(f"{fixture}.json").read_text())
+    meta["format_version"] = sidecar
+    Path(f"{ckpt}.json").write_text(json.dumps(meta), encoding="utf-8")
+    vocab, pairs, out = tmp_path / "vocab.txt", tmp_path / "pairs.tsv", tmp_path / "g"
+    text.save_vocab(vocab, toy_vocab())
+    data.save_pairs(pairs, toy_corpus()[0])
+    rc = main(["generate", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+               "--input", str(pairs), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{ckpt}: format version {header} in the header, but {ckpt}.json says {sidecar}" in err
     assert not out.exists()
 
 
@@ -586,12 +609,20 @@ def test_unknown_mode_rejected_on_command_line_and_in_config(pipeline, tmp_path,
     ({"format_version": CHECKPOINT_VERSION + 1, "model": {"mode": "seq2seq", "vocab_size": 7,
                                                           "word_dim": 6, "enc_hidden": 3}},
      "'format_version'"),
+    # well-formed, but the binary's parameters do not fit the model it describes
+    (lambda real: {**real, "model": {**real["model"], "vocab_size": real["model"]["vocab_size"]
+                                     + 3}}, "m.ckpt: parameter 'word_emb': shape"),
+    (lambda real: {**real, "model": {**real["model"], "mode": "pair2seq"}},
+     "m.ckpt: parameter 'dec_Wh': shape"),
 ], ids=["list", "model-list", "string-vocab-size", "float-word-dim", "bool-enc-hidden",
-        "zero-vocab-size", "no-mode", "no-vocab-size", "no-format-version", "next-version"])
+        "zero-vocab-size", "no-mode", "no-vocab-size", "no-format-version", "next-version",
+        "other-vocab-size", "other-mode"])
 def test_generate_malformed_sidecar_is_one_error_line(pipeline, tmp_path, capsys,
                                                       sidecar, key):
     ckpt = tmp_path / "m.ckpt"
     ckpt.write_bytes(open(pipeline["ckpt"], "rb").read())
+    if callable(sidecar):
+        sidecar = sidecar(json.loads(open(pipeline["ckpt"] + ".json", "rb").read()))
     (tmp_path / "m.ckpt.json").write_text(json.dumps(sidecar), encoding="utf-8")
     out = tmp_path / "g"
     rc = main(["generate", "--checkpoint", str(ckpt), "--vocab", pipeline["vocab"],
@@ -600,4 +631,5 @@ def test_generate_malformed_sidecar_is_one_error_line(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "m.ckpt.json" in err and key in err
+    assert str(ckpt) in err
     assert not out.exists()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from unansqgen import text
+from unansqgen import decode, text
 from unansqgen.data import AlignedPair
 from unansqgen.decode import (
     BeamHypothesis,
@@ -261,14 +261,45 @@ def test_greedy_is_deterministic_and_bounded():
 
 
 def test_score_sequence_unreachable_token():
-    tape, params, enc, vocab = toy_setup()
-    assert score_sequence(tape, params, enc, vocab, ["nowhere"]) == -math.inf
-    assert score_sequence(tape, params, enc, vocab, ["aa", "nowhere", "bb"]) == -math.inf
-    assert score_sequence(tape, params, enc, vocab, [], include_eos=False) == 0.0
-    # a saturated copy gate gives the copy-only token "zz" probability exactly 0
-    params["gate_b"].data[:] = 50.0
-    assert score_sequence(tape, params, enc, vocab, ["zz"]) == -math.inf
-    assert score_sequence(tape, params, enc, vocab, ["aa"]) > -math.inf
+    for mode in ("seq2seq", "pair2seq"):
+        tape, params, enc, vocab = toy_setup(mode)
+        assert score_sequence(tape, params, enc, vocab, ["nowhere"]) == -math.inf
+        assert score_sequence(tape, params, enc, vocab, ["aa", "nowhere", "bb"]) == -math.inf
+        assert score_sequence(tape, params, enc, vocab, [], include_eos=False) == 0.0
+        # a saturated copy gate gives the copy-only token "zz" probability exactly 0
+        params["gate_b"].data[:] = 50.0
+        assert score_sequence(tape, params, enc, vocab, ["zz"]) == -math.inf
+        assert score_sequence(tape, params, enc, vocab, ["aa"]) > -math.inf
+
+
+class CountingVocab(Vocab):
+    """A vocabulary that counts its membership tests."""
+    lookups = 0
+
+    def __contains__(self, token):
+        self.lookups += 1
+        return super().__contains__(token)
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_keys_and_copy_map_are_built_once_per_encoded_input(mode, monkeypatch):
+    vocab = CountingVocab(["aa", "bb"])
+    params = ModelParams(len(vocab), mode, word_dim=6, enc_hidden=3, seed=13)
+    params["out_b"].data[0, text.EOS_ID] = -50.0  # nothing finishes: every step runs
+    tape = Tape()
+    enc = encode_input(tape, params, vocab, ["aa", "zz", "bb", "zz"], 1, 2, ["bb", "qq"])
+    assert vocab.lookups == len(enc.copy_tokens)  # one membership test per copy position
+    assert enc.extra == {"seq2seq": ["zz", "qq"], "pair2seq": ["qq", "zz"]}[mode]
+    steps = []
+    real_step = decode.decode_step
+    monkeypatch.setattr(decode, "decode_step",
+                        lambda *args, **kw: steps.append(1) or real_step(*args, **kw))
+    hyps = beam_search(tape, params, enc, vocab, beam_size=3, max_len=4)
+    assert len(steps) == 4 and not any(h.finished for h in hyps)
+    assert vocab.lookups == len(enc.copy_tokens)
+    keys = [e for e in tape.entries if e.kind == "matmul"
+            and any(t is params["attn_W"] or t is params["copy_W"] for t in e.inputs)]
+    assert len(keys) == params.n_contexts + 1
 
 
 def reference_score_sequence(tape, params, enc, vocab, surface_tokens, include_eos):

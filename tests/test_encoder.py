@@ -127,7 +127,9 @@ def test_checkpoint_saved_by_the_per_direction_encoder_decodes_the_same(mode):
 def test_version_1_checkpoint_resaves_as_version_2_bit_for_bit(mode, tmp_path):
     path = FIXTURES / f"toy-{mode}.ckpt"
     params, sidecar = ModelParams.load(path)
-    joined = _join_gates(load_checkpoint(path), params.word_dim)
+    version, arrays = load_checkpoint(path)
+    assert version == 1
+    joined = _join_gates(arrays, params.word_dim)
     assert len(params.tensors) == {"seq2seq": 17, "pair2seq": 22}[mode]
     saved = tmp_path / "v2.ckpt"
     params.save(saved, extra=sidecar["extra"])

@@ -399,7 +399,7 @@ def test_row_batched_step_equals_single_row_steps(mode):
 
 def test_extended_vocab_first_occurrence_order():
     vocab = small_vocab()
-    enc = EncodedInput("seq2seq", [], None, ["zz", "aa", "yy", "zz"], None)
+    enc = EncodedInput([], [], None, None, ["zz", "aa", "yy", "zz"], None, vocab)
     extra, targets = extended_vocab(enc, vocab)
     assert extra == ["zz", "yy"]
     assert targets == [len(vocab), vocab.id("aa"), len(vocab) + 1, len(vocab)]
@@ -408,7 +408,7 @@ def test_extended_vocab_first_occurrence_order():
 def test_final_distribution_gate_endpoints():
     vocab = small_vocab()
     V = len(vocab)
-    enc = EncodedInput("seq2seq", [], None, ["aa", "bb", "aa"], None)
+    enc = EncodedInput([], [], None, None, ["aa", "bb", "aa"], None, vocab)
     p_vocab = np.full((1, V), 1.0 / V)
     step = DecoderStepOutput(None, Tensor([[1.0]]), Tensor(p_vocab),
                              Tensor([[0.2, 0.5, 0.3]]))
@@ -428,7 +428,7 @@ def test_final_distribution_gate_endpoints():
 def test_final_distribution_mixture_midpoint():
     vocab = small_vocab()
     V = len(vocab)
-    enc = EncodedInput("seq2seq", [], None, ["aa", "qq"], None)
+    enc = EncodedInput([], [], None, None, ["aa", "qq"], None, vocab)
     p_vocab = np.zeros((1, V))
     p_vocab[0, vocab.id("aa")] = 1.0
     step = DecoderStepOutput(None, Tensor([[0.25]]), Tensor(p_vocab),
@@ -537,7 +537,7 @@ def test_checkpoint_parameter_set_mismatch(tmp_path):
     # drop one tensor from the binary, keep the sidecar
     from unansqgen.tensor import load_checkpoint, save_checkpoint
 
-    arrays = load_checkpoint(path)
+    _, arrays = load_checkpoint(path)
     del arrays["attn_W"]
     save_checkpoint(path, arrays)
     with pytest.raises(ModelError):

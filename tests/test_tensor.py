@@ -592,6 +592,34 @@ def test_backward_sums_a_non_leafs_pieces_without_copying_a_weight():
     assert [grown for shape, grown in sums if shape == features.shape][0] < 0.1 * big.data.nbytes
 
 
+def test_backward_returns_a_leafs_piece_sum_itself():
+    # a piece sum is a new array, so it is returned as it is: never copied
+    # because a freed array that a vjp once handed on had the same id
+    rng = np.random.default_rng(37)
+    x = parameter(rng.uniform(-0.1, 0.1, (13, 30)), name="x")
+    big = parameter(rng.uniform(-0.1, 0.1, (30, 500)), name="big")
+    small = parameter(rng.uniform(-0.1, 0.1, (30, 1)), name="small")
+    real = tensor._sum_pieces
+    sums = []
+
+    def probe(pieces, like):
+        sums.append(real(pieces, like))
+        return sums[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tensor, "_sum_pieces", probe)
+        for k in range(50):
+            sums.clear()
+            tape = Tape()
+            features = tape.tanh(x)
+            loss = tape.add(tape.sum(tape.log(tape.row_softmax(tape.matmul(features, big)))),
+                            tape.sum(tape.sigmoid(tape.matmul(features, small))))
+            grads = backward(loss, tape)
+            assert any(grads[big] is total for total in sums), k
+            churn = [np.asarray(float(i)) for i in range(k % 7)]  # reuses freed ids
+            del churn, tape, loss, features, grads
+
+
 # invariants
 
 
@@ -815,7 +843,8 @@ def test_checkpoint_byte_exact_round_trip(tmp_path):
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     save_checkpoint(p1, named)
-    loaded = load_checkpoint(p1)
+    version, loaded = load_checkpoint(p1)
+    assert version == CHECKPOINT_VERSION
     assert list(loaded) == ["w", "b", "scalar"]
     for name, tensor in named.items():
         np.testing.assert_array_equal(loaded[name], tensor.data)

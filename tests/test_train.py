@@ -91,17 +91,22 @@ def teacher_forced_nll(params, vocab, pair, target_tokens, max_len=50):
 
 def test_sequence_nll_matches_final_distribution():
     vocab = toy_vocab()
-    pair = make_pair(["aa", "bb", "zz", "cc"], 1, 3, ["dd", "aa"], ["bb", "zz", "ee"])
+    pairs = [make_pair(["aa", "bb", "zz", "cc"], 1, 3, ["dd", "aa"], ["bb", "zz", "ee"]),
+             # "bb" (in the vocabulary) and "zz" (not) repeat among the copy
+             # positions; "yy" is out of the vocabulary and nowhere in the source
+             make_pair(["bb", "zz", "aa", "zz", "bb"], 1, 3, ["zz", "cc", "bb"],
+                       ["bb", "zz", "yy", "zz", "bb"])]
     for mode in ("seq2seq", "pair2seq"):
         params = small_params(mode)
-        tape = Tape()
-        enc = encode_input(tape, params, vocab, pair.paragraph_tokens,
-                           pair.answer_start, pair.answer_end, pair.answerable_tokens)
-        loss, steps, truncated = sequence_nll(tape, params, enc, vocab,
-                                              pair.unanswerable_tokens)
-        assert steps == 4 and not truncated
-        want = teacher_forced_nll(params, vocab, pair, pair.unanswerable_tokens)
-        assert float(loss.data) == pytest.approx(want, rel=1e-9)
+        for pair in pairs:
+            tape = Tape()
+            enc = encode_input(tape, params, vocab, pair.paragraph_tokens,
+                               pair.answer_start, pair.answer_end, pair.answerable_tokens)
+            loss, steps, truncated = sequence_nll(tape, params, enc, vocab,
+                                                  pair.unanswerable_tokens)
+            assert steps == len(pair.unanswerable_tokens) + 1 and not truncated
+            want = teacher_forced_nll(params, vocab, pair, pair.unanswerable_tokens)
+            assert float(loss.data) == pytest.approx(want, rel=1e-12)
 
 
 def per_step_nll(tape, params, enc, vocab, target_tokens, drops=None):
@@ -268,6 +273,7 @@ def test_batch_gradients_equal_the_sum_of_per_example_maps(mode, monkeypatch):
             want[name] = want[name] + g if name in want else g
     got = _train_one_batch(params, mode, monkeypatch)
     assert set(got) == set(want) == set(params.tensors)
+    assert list(got) == list(params.tensors)  # the clip norm sums in parameter order
     for name, g in want.items():
         g = g / len(UNEVEN_PAIRS)
         assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
