@@ -6,8 +6,10 @@ import argparse
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import data, decode, metrics, text
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 from .model import MODES, ModelParams, encode_input
 from .tensor import Tape, grad_check
 from .train import TrainConfig, TrainingError, sequence_nll, train
@@ -63,7 +65,7 @@ class CliError(ValueError):
 def _read_config(path, spec):
     """Typed {name: value} from a key=value file; every key must be in `spec`."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CliError) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -188,7 +190,7 @@ def _pairs_generation_inputs(path):
 def _looks_like_squad(path):
     if str(path).endswith(".json"):
         return True
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CliError) as fh:
         head = fh.read(64).lstrip()
     return head.startswith("{")
 
@@ -240,9 +242,9 @@ def cmd_evaluate(args):
     else:
         if not (args.sources and args.references):
             raise CliError("evaluate needs --pairs, or both --sources and --references")
-        with open(args.sources, encoding="utf-8") as fh:
+        with open_text(args.sources, CliError) as fh:
             sources = [text.tokenize(line) for line in fh.read().splitlines()]
-        with open(args.references, encoding="utf-8") as fh:
+        with open_text(args.references, CliError) as fh:
             references = [text.tokenize(line) for line in fh.read().splitlines()]
         if not len(gens) == len(sources) == len(references):
             raise CliError(f"evaluate: {len(gens)} generations vs {len(sources)} sources "
@@ -378,7 +380,8 @@ def main(argv=None):
         return 2
     try:
         _resolve_options(args, args.command)
-        return args.run(args)
+        with np.errstate(all="ignore"):  # the tape reports a non-finite value where it is born
+            return args.run(args)
     except (ValueError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

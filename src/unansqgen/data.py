@@ -7,7 +7,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 from .text import tokenize, tokenize_with_spans
 
 PARAGRAPH_TOKEN_CAP = 300
@@ -76,7 +76,7 @@ def parse_squad(path):
     with no answers at all) is dropped and counted.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, DatasetError) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}") from None
@@ -89,7 +89,7 @@ def parse_squad(path):
         where = f"{path}: data[{ai}]"
         if not isinstance(article, dict):
             raise DatasetError(f"{where}: article must be an object")
-        title = article.get("title", "")
+        title = _typed(article, "title", str, where)
         for pi, para in enumerate(_typed(article, "paragraphs", list, where)):
             pwhere = f"{where}.paragraphs[{pi}]"
             if not isinstance(para, dict) or not isinstance(para.get("context"), str):
@@ -270,7 +270,7 @@ def save_pairs(path, pairs):
 
 def load_pairs(path):
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, DatasetError) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

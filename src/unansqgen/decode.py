@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import text
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 from .model import (DecoderState, decode_step, encode_input, final_distribution,
                     gold_probability, init_decoder)
 from .tensor import Tape, Tensor
@@ -165,7 +165,7 @@ def save_generations(path, rows):
 
 def load_generations(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

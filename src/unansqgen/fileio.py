@@ -1,4 +1,4 @@
-"""All-or-nothing file output."""
+"""All-or-nothing file output, and UTF-8 input that names where it is not."""
 
 from __future__ import annotations
 
@@ -30,3 +30,25 @@ def atomic_write(path, binary=False):
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def open_text(path, error=ValueError):
+    """Yield a UTF-8 text handle on `path`, split into lines as `open` splits.
+
+    A byte that is not UTF-8 raises `error` naming the path and the line the
+    byte is on, instead of the decoder's UnicodeDecodeError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    exc = whole  # offsets from the start of the file, not of a read chunk
+            head = exc.object[:exc.start].decode("utf-8", "replace")
+            line = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+            raise error(f"{path}:{line}: not valid UTF-8 "
+                        f"(byte 0x{exc.object[exc.start]:02x})") from None

@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import text
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 from .tensor import (CHECKPOINT_VERSION, TapeError, Tensor, load_checkpoint, parameter,
                      save_checkpoint)
 
@@ -68,9 +68,15 @@ def _maybe_drop(tape, x, drops):
 
 
 class ModelParams:
-    """All trainable tensors for one mode, keyed by stable names."""
+    """All trainable tensors for one mode, keyed by the names of `_shapes`."""
 
     def __init__(self, vocab_size, mode, word_dim=WORD_DIM, enc_hidden=ENC_HIDDEN, seed=13):
+        self._configure(vocab_size, mode, word_dim, enc_hidden)
+        rng = np.random.default_rng(seed)
+        self.tensors = {name: parameter(rng.uniform(-0.1, 0.1, size=shape), name=name)
+                        for name, shape in self._shapes().items()}
+
+    def _configure(self, vocab_size, mode, word_dim, enc_hidden):
         if mode not in MODES:
             raise ModelError(f"unknown mode {mode!r}, expected one of {MODES}")
         if vocab_size < len(text.SPECIAL_TOKENS):
@@ -81,39 +87,31 @@ class ModelParams:
         self.enc_hidden = enc_hidden
         self.state_size = 2 * enc_hidden
         self.n_contexts = 1 if mode == "seq2seq" else 2
-        self.tensors = {}
 
-        rng = np.random.default_rng(seed)
-
-        def add(name, rows, cols):
-            data = rng.uniform(-0.1, 0.1, size=(rows, cols))
-            self.tensors[name] = parameter(data, name=name)
-
-        e, h, s = word_dim, enc_hidden, self.state_size
-        add("word_emb", vocab_size, e)
-        add("char_emb", text.CHAR_INVENTORY_SIZE, e)
-        add("type_emb", 3, e)
-        add("enc_Wx", e, 8 * h)
-        add("enc_Wh", h, 8 * h)
-        add("enc_b", 1, 8 * h)
-        add("dec_Wx", e, 4 * s)
-        add("dec_Wh", (self.n_contexts + 1) * s, 4 * s)
-        add("dec_b", 1, 4 * s)
-        add("attn_W", s, s)
-        add("copy_W", s, s)
-        if mode == "pair2seq":
-            add("interact_W", s, s)
-            add("interact_Wp", 2 * s, s)
-            add("interact_bp", 1, s)
-            add("interact_Wq", 2 * s, s)
-            add("interact_bq", 1, s)
+    def _shapes(self):
+        """The one table of parameter name -> shape, in init and checkpoint order."""
+        e, h, s, v = self.word_dim, self.enc_hidden, self.state_size, self.vocab_size
+        table = dict(word_emb=(v, e), char_emb=(text.CHAR_INVENTORY_SIZE, e), type_emb=(3, e),
+                     enc_Wx=(e, 8 * h), enc_Wh=(h, 8 * h), enc_b=(1, 8 * h), dec_Wx=(e, 4 * s),
+                     dec_Wh=((self.n_contexts + 1) * s, 4 * s), dec_b=(1, 4 * s),
+                     attn_W=(s, s), copy_W=(s, s))
+        if self.mode == "pair2seq":
+            table.update(interact_W=(s, s), interact_Wp=(2 * s, s), interact_bp=(1, s),
+                         interact_Wq=(2 * s, s), interact_bq=(1, s))
         feat = (1 + self.n_contexts) * s
-        add("out_W", feat, vocab_size)
-        add("out_b", 1, vocab_size)
-        add("gate_W", feat, 1)
-        add("gate_b", 1, 1)
-        add("init_W", s, s)
-        add("init_b", s, 1)
+        table.update(out_W=(feat, v), out_b=(1, v), gate_W=(feat, 1), gate_b=(1, 1),
+                     init_W=(s, s), init_b=(s, 1))
+        return table
+
+    def _matched(self, arrays):
+        """(name, array) in `_shapes` order; ModelError at one missing or misshapen."""
+        for name, shape in self._shapes().items():
+            if name not in arrays:
+                raise ModelError(f"missing parameter {name!r}")
+            if arrays[name].shape != shape:
+                raise ModelError(f"parameter {name!r}: shape {arrays[name].shape} "
+                                 f"does not match {shape}")
+            yield name, arrays[name]
 
     def __getitem__(self, name):
         return self.tensors[name]
@@ -136,13 +134,8 @@ class ModelParams:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 
     def set_arrays(self, arrays):
-        for name, t in self.tensors.items():
-            if name not in arrays:
-                raise ModelError(f"missing parameter {name!r}")
-            if arrays[name].shape != t.data.shape:
-                raise ModelError(f"parameter {name!r}: shape {arrays[name].shape} "
-                                 f"does not match {t.data.shape}")
-            t.data = np.array(arrays[name], dtype=np.float64)
+        for name, array in self._matched(arrays):
+            self.tensors[name].data = np.array(array, dtype=np.float64)
 
     def save(self, path, extra=None):
         save_checkpoint(path, self.tensors)
@@ -164,10 +157,13 @@ class ModelParams:
         integer `vocab_size`, `word_dim` and `enc_hidden` of at least 1.
         Anything else raises ModelError naming the sidecar and the key, and a
         header version or a parameter that disagrees with it one naming both.
+        The arrays `load_checkpoint` reads become the parameters, uncopied
+        and with no init drawn; a non-finite value raises ModelError naming
+        the checkpoint and the parameter.
         """
         where = f"{path}.json"
         try:
-            with open(where, encoding="utf-8") as fh:
+            with open_text(where, ModelError) as fh:
                 sidecar = json.load(fh)
         except FileNotFoundError:
             raise ModelError(f"{where}: checkpoint sidecar not found") from None
@@ -192,7 +188,8 @@ class ModelParams:
         vocab_size, word_dim, enc_hidden = (
             field(cfg, f"model.{key}", lambda v: type(v) is int and v >= 1, "an integer >= 1")
             for key in ("vocab_size", "word_dim", "enc_hidden"))
-        params = ModelParams(vocab_size, mode, word_dim=word_dim, enc_hidden=enc_hidden, seed=0)
+        params = object.__new__(ModelParams)
+        params._configure(vocab_size, mode, word_dim, enc_hidden)
         header, arrays = load_checkpoint(path)
         if header != version:
             raise ModelError(f"{path}: format version {header} in the header, "
@@ -202,12 +199,16 @@ class ModelParams:
         except (KeyError, ValueError) as exc:
             raise ModelError(f"{path}: version-1 gate tensors do not join: {exc}") from None
         try:
-            params.set_arrays(arrays)
+            params.tensors = {name: parameter(array, name=name)
+                              for name, array in params._matched(arrays)}
         except ModelError as exc:
             raise ModelError(f"{path}: {exc} (the model {where} describes)") from None
         if set(arrays) != set(params.tensors):
             extra = sorted(set(arrays) - set(params.tensors))
             raise ModelError(f"{path}: unexpected parameters {extra}")
+        for name, t in params.items():
+            if not np.isfinite(t.data).all():
+                raise ModelError(f"{path}: parameter {name!r} holds a non-finite value")
         return params, sidecar
 
 
@@ -233,7 +234,7 @@ def load_pretrained_vectors(path, vocab, params):
     dim = params.word_dim
     table = params["word_emb"].data
     matched = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:

@@ -574,7 +574,7 @@ CHECKPOINT_VERSION = 2  # the record format is version 1's; `model` reads both
 
 
 def save_checkpoint(path, named_tensors):
-    """Write (name, shape, float64 values) records; order follows the mapping."""
+    """Write (name, shape, float64 values) records from each array's buffer, in mapping order."""
     with atomic_write(path, binary=True) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(named_tensors)))
@@ -583,51 +583,53 @@ def save_checkpoint(path, named_tensors):
             data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<I", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+            fh.write(struct.pack(f"<I{data.ndim}Q", data.ndim, *data.shape))
+            fh.write(np.ascontiguousarray(data, dtype="<f8"))
 
 
 def load_checkpoint(path):
     """Read a checkpoint back as (its header's format version, an ordered
-    {name: float64 array} mapping).
+    {name: float64 array} mapping), each record straight into a fresh array.
 
-    Every read is bounds-checked: a truncated or corrupt file raises
-    CheckpointError, never a struct or buffer error.
+    Every length is checked against the bytes left before anything is read or
+    allocated: a truncated or corrupt file raises CheckpointError, never a
+    struct, buffer or memory error.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    offset = 8
+        left = os.fstat(fh.fileno()).st_size - len(_CKPT_MAGIC)
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
 
-    def take(n, what):
-        nonlocal offset
-        if n > len(blob) - offset:
-            raise CheckpointError(f"{path}: truncated in {what} at byte {offset} "
-                                  f"(needs {n} more bytes, {len(blob) - offset} left)")
-        offset += n
-        return offset - n
+        def take(n, what):
+            nonlocal left
+            if n > left:
+                raise CheckpointError(f"{path}: truncated in {what} at byte {fh.tell()} "
+                                      f"(needs {n} more bytes, {left} left)")
+            left -= n
+            return n
 
-    version, count = struct.unpack_from("<II", blob, take(8, "the header"))
-    if version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(f"{path}: checkpoint format version {version}, "
-                              f"this build reads versions 1 and {CHECKPOINT_VERSION}")
-    out = {}
-    for k in range(count):
-        what = f"record {k + 1} of {count}"
-        (name_len,) = struct.unpack_from("<I", blob, take(4, what))
-        start = take(name_len, what)
-        try:
-            name = blob[start:start + name_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: {what} has a name that is not UTF-8") from None
-        (ndim,) = struct.unpack_from("<I", blob, take(4, what))
-        shape = struct.unpack_from(f"<{ndim}Q", blob, take(8 * ndim, what))
-        size = math.prod(shape)
-        start = take(8 * size, what)
-        values = np.frombuffer(blob, dtype="<f8", count=size, offset=start).astype(np.float64)
-        out[name] = values.reshape(shape)
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes after the last record")
+        version, count = struct.unpack("<II", fh.read(take(8, "the header")))
+        if version not in (1, CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: checkpoint format version {version}, "
+                                  f"this build reads versions 1 and {CHECKPOINT_VERSION}")
+        out = {}
+        for k in range(count):
+            what = f"record {k + 1} of {count}"
+            (name_len,) = struct.unpack("<I", fh.read(take(4, what)))
+            try:
+                name = fh.read(take(name_len, what)).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: {what} has a name that is not UTF-8") from None
+            if name in out:
+                raise CheckpointError(f"{path}: {what} repeats the name {name!r}")
+            (ndim,) = struct.unpack("<I", fh.read(take(4, what)))
+            shape = struct.unpack(f"<{ndim}Q", fh.read(take(8 * ndim, what)))
+            take(8 * math.prod(shape), what)
+            try:
+                out[name] = np.empty(shape, dtype="<f8")
+            except ValueError:  # no values, but a dimension past the address space
+                raise CheckpointError(f"{path}: {what} has impossible shape {shape}") from None
+            fh.readinto(out[name])
+        if left:
+            raise CheckpointError(f"{path}: trailing bytes after the last record")
     return version, out

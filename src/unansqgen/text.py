@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .fileio import atomic_write
+from .fileio import atomic_write, open_text
 
 PAD, UNK, BOS, EOS, SEP = "<pad>", "<unk>", "<bos>", "<eos>", "<sep>"
 SPECIAL_TOKENS = (PAD, UNK, BOS, EOS, SEP)
@@ -144,7 +144,7 @@ def save_vocab(path, vocab):
 
 def load_vocab(path):
     """Read a `save_vocab` file; a blank or repeated token raises ValueError naming path:line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if tuple(lines[:5]) != SPECIAL_TOKENS:
         raise ValueError(f"{path}: vocabulary file must start with the special-token header")

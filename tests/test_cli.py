@@ -1,8 +1,10 @@
 """Command-line tests: the full pipeline on a synthetic corpus, error paths."""
 
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import synthetic_squad, toy_corpus, toy_vocab, write_squad
@@ -302,12 +304,15 @@ def test_generate_header_and_sidecar_versions_disagreeing_is_one_error_line(
     ("qas", 5, "data[0].paragraphs[0]"),
     ("question", 5, "data[0].paragraphs[0].qas[0]"),
     ("is_impossible", "false", "data[0].paragraphs[0].qas[0]"),
+    ("title", 5, "data[0]"),
+    ("title", ["article"], "data[0]"),
 ])
 def test_align_mistyped_squad_field_is_one_error_line(tmp_path, capsys, key, value, where):
     doc = synthetic_squad(2, 1, seed=5)
     article = doc["data"][0]
     paragraph = article["paragraphs"][0]
-    {"paragraphs": article, "qas": paragraph}.get(key, paragraph["qas"][0])[key] = value
+    {"paragraphs": article, "title": article,
+     "qas": paragraph}.get(key, paragraph["qas"][0])[key] = value
     squad = write_squad(tmp_path / "c.json", doc)
     outs = [tmp_path / "p", tmp_path / "h", tmp_path / "v"]
     rc = main(["align", "--squad", squad, "--out-pairs", str(outs[0]),
@@ -317,6 +322,64 @@ def test_align_mistyped_squad_field_is_one_error_line(tmp_path, capsys, key, val
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"c.json: {where}: " in err and repr(key) in err
     assert not any(path.exists() for path in outs)
+
+
+def test_generate_non_finite_checkpoint_value_is_one_error_line(tmp_path, capsys):
+    fixture = Path(__file__).parent / "fixtures" / "toy-seq2seq.ckpt"  # version 1
+    _, arrays = load_checkpoint(fixture)
+    arrays["out_W"][1, 2] = np.nan
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, arrays)
+    blob = bytearray(ckpt.read_bytes())
+    blob[8] = 1  # a version-1 header, as the sidecar says
+    ckpt.write_bytes(bytes(blob))
+    (tmp_path / "m.ckpt.json").write_bytes(Path(f"{fixture}.json").read_bytes())
+    vocab, pairs, out = tmp_path / "vocab.txt", tmp_path / "pairs.tsv", tmp_path / "g"
+    text.save_vocab(vocab, toy_vocab())
+    data.save_pairs(pairs, toy_corpus()[0])
+    rc = main(["generate", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+               "--input", str(pairs), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {ckpt}: parameter 'out_W' holds a non-finite value\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["squad", "pairs", "vocab", "config", "generations",
+                                    "sidecar"])
+def test_input_that_is_not_utf8_names_its_file_and_line(pipeline, tmp_path, capsys, reader):
+    p = {key: Path(value) for key, value in pipeline.items()}
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "out"
+    ckpt.write_bytes(p["ckpt"].read_bytes())
+    sources = {"squad": p["squad"], "pairs": p["pairs"], "vocab": p["vocab"],
+               "sidecar": Path(f"{p['ckpt']}.json")}
+    (tmp_path / "config").write_text("seed=13\nmin_count=1\n", encoding="utf-8")
+    (tmp_path / "generations").write_text("pair-1\twhy ?\t-1.0\npair-2\twhat ?\t-2.0\n",
+                                          encoding="utf-8")
+    bad = Path(f"{ckpt}.json") if reader == "sidecar" else tmp_path / reader
+    blob = sources.get(reader, bad).read_bytes()
+    cut = blob.find(b"\n") + 1  # the second line's start, or the first's in a one-line file
+    bad.write_bytes(blob[:cut] + b"\xff" + blob[cut:])
+    if reader != "sidecar":
+        Path(f"{ckpt}.json").write_bytes(Path(f"{p['ckpt']}.json").read_bytes())
+    files = {**{key: str(p[key]) for key in ("squad", "pairs", "vocab")}, reader: str(bad)}
+    argv = {
+        "squad": ["align", "--squad", files["squad"], "--out-pairs", str(out),
+                  "--out-holdout", str(tmp_path / "h"), "--out-vocab", str(tmp_path / "v")],
+        "pairs": ["train", "--pairs", files["pairs"], "--holdout", str(p["holdout"]),
+                  "--vocab", files["vocab"], "--out", str(out), "--dims-override", "6/3"],
+        "generations": ["evaluate", "--generations", str(bad), "--pairs", files["pairs"],
+                        "--out", str(out)],
+    }
+    argv["config"] = argv["squad"] + ["--config", str(bad)]
+    argv["vocab"] = argv["sidecar"] = ["generate", "--checkpoint", str(ckpt), "--vocab",
+                                       files["vocab"], "--input", files["pairs"],
+                                       "--out", str(out)]
+    rc = main(argv[reader])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {bad}:{1 + (cut > 0)}: not valid UTF-8 (byte 0xff)\n"
+    assert not out.exists()
 
 
 def test_generate_vocab_size_mismatch(pipeline, tmp_path, capsys):
@@ -391,6 +454,25 @@ def test_train_validation_failure_leaves_no_checkpoint(pipeline, tmp_path, capsy
                "--epochs", "0", "--dims-override", "6/3"])
     assert rc == 1
     assert "epochs" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "m.ckpt.json").exists()
+
+
+def test_train_overflowing_pretrained_row_is_one_error_line(pipeline, tmp_path, capsys):
+    # 1.7e308 is finite, but dropout's 1/keep scaling takes it past the float64 range
+    token = text.load_vocab(pipeline["vocab"]).id_to_token[len(text.SPECIAL_TOKENS)]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(token + " 1.7e308" * 6 + "\n", encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--pairs", pipeline["pairs"], "--holdout", pipeline["holdout"],
+                   "--vocab", pipeline["vocab"], "--out", str(out), "--epochs", "1",
+                   "--dims-override", "6/3", "--dropout", "0.2", "--pretrained", str(vectors)])
+    captured = capsys.readouterr()
+    assert rc == 1 and "RuntimeWarning" not in captured.err
+    assert captured.err.startswith("error: epoch 1 batch ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(": dropout: produced a non-finite output\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists() and not (tmp_path / "m.ckpt.json").exists()
 
 

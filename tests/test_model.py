@@ -1,11 +1,15 @@
 """Model architecture tests: embeddings, encoders, interaction, decode step."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import gate_twin
+from unansqgen import model
 from unansqgen.model import (
     ENC_HIDDEN,
+    MODES,
     WORD_DIM,
     DecoderState,
     DecoderStepOutput,
@@ -23,7 +27,7 @@ from unansqgen.model import (
     interact,
     load_pretrained_vectors,
 )
-from unansqgen.tensor import Tape, TapeError, Tensor, backward, grad_check
+from unansqgen.tensor import Tape, TapeError, Tensor, backward, grad_check, load_checkpoint
 from unansqgen.text import (
     BOS_ID,
     TYPE_ANSWER,
@@ -542,6 +546,32 @@ def test_checkpoint_parameter_set_mismatch(tmp_path):
     save_checkpoint(path, arrays)
     with pytest.raises(ModelError):
         ModelParams.load(path)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_load_wraps_the_read_arrays_and_draws_no_init(tmp_path, monkeypatch, mode):
+    path = tmp_path / "model.ckpt"
+    saved = small_params(mode, seed=21)
+    saved.save(path)
+    read = {}
+
+    def reading(p):
+        version, arrays = load_checkpoint(p)
+        read[str(p)] = arrays
+        return version, arrays
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ModelParams.load drew from numpy.random.default_rng")
+
+    monkeypatch.setattr(model, "load_checkpoint", reading)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded, _ = ModelParams.load(path)
+    assert list(loaded.tensors) == list(saved.tensors)
+    for name, t in loaded.items():
+        assert t.data is read[str(path)][name] and t.requires_grad
+        np.testing.assert_array_equal(t.data, saved[name].data)
+    toy, _ = ModelParams.load(Path(__file__).parent / "fixtures" / f"toy-{mode}.ckpt")
+    assert toy.mode == mode and list(toy._shapes()) == list(toy.tensors)
 
 
 def test_load_pretrained_vectors(tmp_path):
