@@ -242,10 +242,11 @@ def cmd_evaluate(args):
     else:
         if not (args.sources and args.references):
             raise CliError("evaluate needs --pairs, or both --sources and --references")
+        # lines end at \n, \r\n and \r only, as in every other reader
         with open_text(args.sources, CliError) as fh:
-            sources = [text.tokenize(line) for line in fh.read().splitlines()]
+            sources = [text.tokenize(line) for line in fh]
         with open_text(args.references, CliError) as fh:
-            references = [text.tokenize(line) for line in fh.read().splitlines()]
+            references = [text.tokenize(line) for line in fh]
         if not len(gens) == len(sources) == len(references):
             raise CliError(f"evaluate: {len(gens)} generations vs {len(sources)} sources "
                            f"vs {len(references)} references")
@@ -289,7 +290,8 @@ def _gradcheck_fixture(vocab_size, mode, dims, seed):
     # Widen the init to uniform(-1, 1): with the training-scale init the
     # attention stays near-uniform and some bilinear-weight gradients fall
     # below the float64 cancellation floor of the difference quotient,
-    # eps * |loss| / (2 * step), which no admissible step can resolve.
+    # eps * |loss| / (2 * step), which no admissible step can resolve. The
+    # widened values are finite, so the parameters stay verified.
     for _, tensor in params.items():
         tensor.data *= 10.0
     n = len(bank)

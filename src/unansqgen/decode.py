@@ -146,10 +146,11 @@ def filter_outputs(hypotheses, source_question_tokens):
 
 
 def generate_for_example(params, vocab, pair, beam_size=BEAM_SIZE, max_len=MAX_LEN, nbest=1):
-    """Encode one aligned pair and return up to nbest filtered hypotheses."""
+    """Encode one aligned pair and return up to nbest filtered hypotheses,
+    on a tape that records nothing."""
     if nbest < 1:
         raise ValueError(f"generate_for_example: nbest must be >= 1, got {nbest}")
-    tape = Tape()
+    tape = Tape(record=False)
     enc = encode_input(tape, params, vocab, pair.paragraph_tokens,
                        pair.answer_start, pair.answer_end, pair.answerable_tokens)
     hyps = beam_search(tape, params, enc, vocab, beam_size=beam_size, max_len=max_len)

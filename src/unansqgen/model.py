@@ -75,6 +75,8 @@ class ModelParams:
         rng = np.random.default_rng(seed)
         self.tensors = {name: parameter(rng.uniform(-0.1, 0.1, size=shape), name=name)
                         for name, shape in self._shapes().items()}
+        for t in self.tensors.values():
+            t.verified = True  # uniform(-0.1, 0.1) is finite by construction: no scan
 
     def _configure(self, vocab_size, mode, word_dim, enc_hidden):
         if mode not in MODES:
@@ -135,7 +137,9 @@ class ModelParams:
 
     def set_arrays(self, arrays):
         for name, array in self._matched(arrays):
-            self.tensors[name].data = np.array(array, dtype=np.float64)
+            t = self.tensors[name]
+            t.data = np.array(array, dtype=np.float64)
+            t.verified = bool(np.isfinite(t.data).all())  # if not, each tape checks it
 
     def save(self, path, extra=None):
         save_checkpoint(path, self.tensors)
@@ -153,13 +157,14 @@ class ModelParams:
         """Rebuild (params, sidecar dict) from a checkpoint plus its sidecar.
 
         The sidecar must be an object holding `format_version` 1 (see
-        `_join_gates`) or 2 and a `model` object with a known `mode` and
-        integer `vocab_size`, `word_dim` and `enc_hidden` of at least 1.
+        `_join_gates`) or 2 and a `model` object with a known `mode`, an
+        integer `vocab_size` of at least the special-token count, and integer
+        `word_dim` and `enc_hidden` of at least 1.
         Anything else raises ModelError naming the sidecar and the key, and a
         header version or a parameter that disagrees with it one naming both.
         The arrays `load_checkpoint` reads become the parameters, uncopied
         and with no init drawn; a non-finite value raises ModelError naming
-        the checkpoint and the parameter.
+        the checkpoint and the parameter. That one scan verifies them.
         """
         where = f"{path}.json"
         try:
@@ -186,8 +191,10 @@ class ModelParams:
         cfg = field(sidecar, "model", lambda v: isinstance(v, dict), "an object")
         mode = field(cfg, "model.mode", lambda v: v in MODES, f"one of {MODES}")
         vocab_size, word_dim, enc_hidden = (
-            field(cfg, f"model.{key}", lambda v: type(v) is int and v >= 1, "an integer >= 1")
-            for key in ("vocab_size", "word_dim", "enc_hidden"))
+            field(cfg, f"model.{key}", lambda v: type(v) is int and v >= low,
+                  f"an integer >= {low}")
+            for key, low in (("vocab_size", len(text.SPECIAL_TOKENS)), ("word_dim", 1),
+                             ("enc_hidden", 1)))
         params = object.__new__(ModelParams)
         params._configure(vocab_size, mode, word_dim, enc_hidden)
         header, arrays = load_checkpoint(path)
@@ -209,6 +216,7 @@ class ModelParams:
         for name, t in params.items():
             if not np.isfinite(t.data).all():
                 raise ModelError(f"{path}: parameter {name!r} holds a non-finite value")
+            t.verified = True
         return params, sidecar
 
 
@@ -229,7 +237,8 @@ def load_pretrained_vectors(path, vocab, params):
 
     Lines whose token is out of vocabulary, whose dimension differs from
     the embedding width, or whose values are not all finite numbers are
-    ignored. Returns the number of rows replaced.
+    ignored, so a verified table stays verified. Returns the number of rows
+    replaced.
     """
     dim = params.word_dim
     table = params["word_emb"].data

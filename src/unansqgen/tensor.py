@@ -16,7 +16,16 @@ gradients and trained parameters can move in the last place, not the loss.
 Finiteness is checked where a value is born: a tape checks each output as it
 is produced, and each tensor it did not produce (a leaf, or an output of
 another tape) the first time it reads it, never again. A leaf must therefore
-not change in place while a tape that has read it is still recording.
+not change in place while a tape that has read it is still in use. A tensor
+marked `verified` is type-checked but never scanned: each writer of its data
+keeps it finite and checks only what it writes. The model's parameters are
+verified, since at paper scale one scan of the output weight costs several
+times the matmul that reads it. A non-finite value written past every writer
+fails the output check of the first primitive that reads it.
+
+A tape built with `record=False` runs the same primitives with the same
+checks, but keeps no entries and no vector-Jacobian closures, so inference
+frees each intermediate once it is unused; `backward` rejects such a tape.
 """
 
 from __future__ import annotations
@@ -49,10 +58,11 @@ class Tensor:
     `data` is a shaped numpy array; `values` exposes the row-major flat view.
     `backward` returns gradients for the leaf tensors created with
     requires_grad=True; tensors produced by tape primitives track gradient
-    flow automatically.
+    flow automatically. `verified` tells every tape that `data` is finite and
+    stays so (see the module docstring); it starts False.
     """
 
-    __slots__ = ("data", "requires_grad", "name", "_tracked")
+    __slots__ = ("data", "requires_grad", "name", "verified", "_tracked", "_born")
 
     def __init__(self, data, requires_grad=False, name=None):
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
@@ -60,7 +70,9 @@ class Tensor:
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self.verified = False
         self._tracked = self.requires_grad
+        self._born = None  # the mark of the tape that produced it
 
     @property
     def shape(self):
@@ -305,32 +317,37 @@ class _Entry:
 
 
 class Tape:
-    """Ordered record of primitive applications, confined to one worker."""
+    """Ordered record of primitive applications, confined to one worker.
 
-    def __init__(self):
+    With record=False the tape keeps no entries: it is for inference only.
+    """
+
+    def __init__(self, record=True):
+        self.record = record
         self.entries = []
-        self._checked = set()  # ids of tensors known finite; each is held by an entry
+        self._mark = object()  # set on each output, so the tape knows what it produced
+        self._checked = {}  # id -> each other tensor read; held, so its id stays unique
 
     def primitive(self, kind, inputs, **meta):
         """Apply a primitive and record it. `inputs` is a list of Tensors.
 
-        An input this tape has not seen before is type- and finiteness-checked
-        on this first read; the output is checked as it is produced. Inputs
-        must not change in place afterwards while this tape is recording.
+        An input this tape neither produced nor read before is type-checked
+        on this first read, and finiteness-checked unless it is verified; the
+        output is checked as it is produced. Inputs must not change in place
+        afterwards while this tape is in use.
         """
         if kind not in _FORWARD:
             raise TapeError(f"unknown primitive kind {kind!r}")
-        checked = self._checked
-        unseen = []
+        mark, checked = self._mark, self._checked
         arrays = []
         tracked = False
         for t in inputs:
-            if id(t) not in checked:
+            if getattr(t, "_born", None) is not mark and id(t) not in checked:
                 if not isinstance(t, Tensor):
                     raise TapeError(f"{kind}: inputs must be Tensors, got {type(t).__name__}")
-                if not _all_finite(t.data):
+                if not t.verified and not _all_finite(t.data):
                     raise TapeError(f"{kind}: non-finite input value")
-                unseen.append(t)
+                checked[id(t)] = t
             arrays.append(t.data)
             tracked = tracked or t._tracked
         out_data, vjp = _FORWARD[kind](arrays, meta)
@@ -338,10 +355,9 @@ class Tape:
             raise TapeError(f"{kind}: produced a non-finite output")
         out = Tensor(out_data)
         out._tracked = tracked
-        self.entries.append(_Entry(kind, list(inputs), out, vjp))
-        # Only now does an entry hold these tensors, so their ids stay unique.
-        checked.update(map(id, unseen))
-        checked.add(id(out))
+        out._born = mark
+        if self.record:
+            self.entries.append(_Entry(kind, list(inputs), out, vjp))
         return out
 
     # convenience wrappers
@@ -413,6 +429,8 @@ def backward(loss, tape, leaf_pieces=None):
     summed into its dense part, since they may view larger gradients that
     the batch would otherwise keep alive.
     """
+    if not tape.record:
+        raise TapeError("backward: the tape was built with record=False and holds no entries")
     if loss.data.size != 1:
         raise TapeError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     grads = {id(loss): np.ones_like(loss.data)}
@@ -497,7 +515,8 @@ def grad_check(build_loss, params, step=1e-5):
 
     `build_loss(params)` must deterministically return `(loss Tensor, Tape)`.
     Returns the max over all parameter coordinates of
-    |g_auto - g_fd| / max(1e-8, |g_auto| + |g_fd|).
+    |g_auto - g_fd| / max(1e-8, |g_auto| + |g_fd|). Each coordinate is moved
+    by +-step in place and restored, so a verified parameter stays finite.
 
     The determinism check and the tape gradients run in the caller. The
     perturbed forwards are split across one forked worker process per CPU

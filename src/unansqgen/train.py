@@ -99,7 +99,13 @@ def adagrad_step(params, grads, state, lr, clip):
         return False
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     scale = clip / norm if clip is not None and norm > clip else 1.0
+    # A verified parameter stays so without a scan: with g finite and
+    # acc >= 0.1 + g^2, each coordinate moves by |lr * g / sqrt(acc)| < lr.
+    # With lr <= 1 and |scale| <= 1, lr * g is finite, and a move below 1
+    # cannot carry a finite parameter past float64's largest value.
+    bounded = lr <= 1.0 and abs(scale) <= 1.0
     for name, g in grads.items():
+        params[name].verified = params[name].verified and bounded
         rows = max(1, _BLOCK * len(g) // max(1, g.size))
         for lo in range(0, len(g), rows):
             g_block = g[lo:lo + rows] * scale
@@ -109,8 +115,8 @@ def adagrad_step(params, grads, state, lr, clip):
     return True
 
 
-def _example_loss(params, vocab, pair, max_target_len, drops=None):
-    tape = Tape()
+def _example_loss(params, vocab, pair, max_target_len, drops=None, record=True):
+    tape = Tape(record=record)
     enc = encode_input(tape, params, vocab, pair.paragraph_tokens,
                        pair.answer_start, pair.answer_end,
                        pair.answerable_tokens, drops=drops)
@@ -120,13 +126,13 @@ def _example_loss(params, vocab, pair, max_target_len, drops=None):
 
 
 def perplexity(params, pairs, vocab, max_target_len=TrainConfig.max_target_len):
-    """exp(total NLL / total target tokens), dropout disabled."""
+    """exp(total NLL / total target tokens), dropout disabled, on tapes that record nothing."""
     if not pairs:
         raise TrainingError("perplexity: empty pair list")
     total = 0.0
     tokens = 0
     for pair in pairs:
-        _, loss, steps = _example_loss(params, vocab, pair, max_target_len)
+        _, loss, steps = _example_loss(params, vocab, pair, max_target_len, record=False)
         total += float(loss.data)
         tokens += steps
     return math.exp(total / tokens)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_squad, toy_corpus, toy_vocab, write_squad
-from unansqgen import cli, data, text
+from unansqgen import cli, data, metrics, text
 from unansqgen.cli import main
 from unansqgen.decode import load_generations
 from unansqgen.fileio import atomic_write
@@ -345,6 +345,31 @@ def test_generate_non_finite_checkpoint_value_is_one_error_line(tmp_path, capsys
     assert not out.exists()
 
 
+def test_generate_non_finite_value_past_every_writer_is_one_error_line(tmp_path, capsys,
+                                                                      monkeypatch):
+    # load verifies what it read, so a NaN written afterwards is not scanned on
+    # read: the output check of the first primitive that reads it catches it
+    real = ModelParams.load
+
+    def load_then_poison(path):
+        params, sidecar = real(path)
+        assert params["out_W"].verified
+        params["out_W"].data[1, 2] = np.nan
+        return params, sidecar
+
+    monkeypatch.setattr(ModelParams, "load", staticmethod(load_then_poison))
+    fixture = Path(__file__).parent / "fixtures" / "toy-seq2seq.ckpt"
+    vocab, pairs, out = tmp_path / "vocab.txt", tmp_path / "pairs.tsv", tmp_path / "g"
+    text.save_vocab(vocab, toy_vocab())
+    data.save_pairs(pairs, toy_corpus()[0])
+    rc = main(["generate", "--checkpoint", str(fixture), "--vocab", str(vocab),
+               "--input", str(pairs), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: matmul: produced a non-finite output\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reader", ["squad", "pairs", "vocab", "config", "generations",
                                     "sidecar"])
 def test_input_that_is_not_utf8_names_its_file_and_line(pipeline, tmp_path, capsys, reader):
@@ -445,6 +470,25 @@ def test_evaluate_line_files_and_count_mismatch(tmp_path, capsys):
                "--references", str(tmp_path / "ref.txt")])
     assert rc == 1
     assert "2 generations vs 1 sources" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x1c", "\u2028"])
+def test_evaluate_splits_lines_only_at_line_ends(tmp_path, capsys, char):
+    gen = tmp_path / "g.tsv"
+    gen.write_text("q1\twhy is it here ?\t-1.0\nq2\twhen was that ?\t-2.0\n",
+                   encoding="utf-8")
+    sources = [f"why is{char}it there ?", "where was that ?"]
+    references = ["why is it here ?", f"when{char}was that ?"]
+    (tmp_path / "src.txt").write_text("\r\n".join(sources) + "\r", encoding="utf-8")
+    (tmp_path / "ref.txt").write_text("\n".join(references), encoding="utf-8")
+    rc = main(["evaluate", "--generations", str(gen), "--sources", str(tmp_path / "src.txt"),
+               "--references", str(tmp_path / "ref.txt")])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    triples = [(text.tokenize(src), tokens, text.tokenize(ref)) for src, tokens, ref in
+               zip(sources, [["why", "is", "it", "here", "?"], ["when", "was", "that", "?"]],
+                   references)]
+    assert captured.out == metrics.format_report(metrics.metric_report(triples))
 
 
 def test_train_validation_failure_leaves_no_checkpoint(pipeline, tmp_path, capsys):
@@ -682,6 +726,9 @@ def test_unknown_mode_rejected_on_command_line_and_in_config(pipeline, tmp_path,
                                      "enc_hidden": True}}, "'model.enc_hidden'"),
     ({"format_version": 1, "model": {"mode": "seq2seq", "vocab_size": 0, "word_dim": 6,
                                      "enc_hidden": 3}}, "'model.vocab_size'"),
+    ({"format_version": 1, "model": {"mode": "seq2seq", "vocab_size": 3, "word_dim": 6,
+                                     "enc_hidden": 3}},
+     "m.ckpt.json: key 'model.vocab_size' must be an integer >= 5, got 3\n"),
     ({"format_version": 1, "model": {"vocab_size": 7, "word_dim": 6, "enc_hidden": 3}},
      "missing key 'model.mode'"),
     ({"format_version": 1, "model": {"mode": "seq2seq", "word_dim": 6, "enc_hidden": 3}},
@@ -697,8 +744,8 @@ def test_unknown_mode_rejected_on_command_line_and_in_config(pipeline, tmp_path,
     (lambda real: {**real, "model": {**real["model"], "mode": "pair2seq"}},
      "m.ckpt: parameter 'dec_Wh': shape"),
 ], ids=["list", "model-list", "string-vocab-size", "float-word-dim", "bool-enc-hidden",
-        "zero-vocab-size", "no-mode", "no-vocab-size", "no-format-version", "next-version",
-        "other-vocab-size", "other-mode"])
+        "zero-vocab-size", "vocab-size-below-specials", "no-mode", "no-vocab-size",
+        "no-format-version", "next-version", "other-vocab-size", "other-mode"])
 def test_generate_malformed_sidecar_is_one_error_line(pipeline, tmp_path, capsys,
                                                       sidecar, key):
     ckpt = tmp_path / "m.ckpt"

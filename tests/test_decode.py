@@ -377,6 +377,32 @@ def test_generate_for_example_filters_and_bounds():
         [(h.surface(), h.score) for h in again]
 
 
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_non_recording_tape_decodes_and_scores_bit_identically(mode):
+    vocab = Vocab(["aa", "bb"])
+    params = ModelParams(len(vocab), mode, word_dim=6, enc_hidden=3, seed=13)
+    pair = AlignedPair(title="t", paragraph_tokens=["zz", "aa", "zz", "yy"], answer_start=1,
+                       answer_end=2, answerable_tokens=["zz", "yy", "bb"],
+                       unanswerable_tokens=["aa"])  # zz and yy are out of vocabulary
+    runs = []
+    for record in (True, False):
+        tape = Tape(record=record)
+        enc = encode_input(tape, params, vocab, pair.paragraph_tokens, pair.answer_start,
+                           pair.answer_end, pair.answerable_tokens)
+        hyps = beam_search(tape, params, enc, vocab, beam_size=6, max_len=4)
+        scores = [score_sequence(tape, params, enc, vocab, h.tokens, include_eos=False)
+                  for h in hyps]
+        scores.append(score_sequence(tape, params, enc, vocab, ["yy", "bb", "zz"]))
+        runs.append(([(h.tokens, h.score, h.finished) for h in hyps], scores, hyps, tape))
+    (want, want_scores, hyps, recorded), (got, got_scores, _, skipped) = runs
+    assert got == want and got_scores == want_scores  # float equality: bit for bit
+    assert any("zz" in tokens for tokens, _, _ in got)
+    assert len(recorded.entries) > 100 and skipped.entries == []
+    generated = generate_for_example(params, vocab, pair, beam_size=6, max_len=4, nbest=6)
+    assert [(h.tokens, h.score) for h in generated] == \
+        [(h.tokens, h.score) for h in filter_outputs(hyps, pair.answerable_tokens)]
+
+
 def test_generation_file_round_trip(tmp_path):
     rows = [("q1", ["why", "not", "?"], -3.25), ("q2", ["when", "?"], -0.5)]
     path = tmp_path / "gen.tsv"

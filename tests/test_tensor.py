@@ -791,6 +791,51 @@ def test_busy_tape_rejects_new_non_finite_constant():
         tape.slice_rows(constant([[1.0], [np.inf]]), 0, 1)
 
 
+@pytest.mark.parametrize("record", [True, False])
+def test_verified_input_is_trusted_and_everything_else_checked(record, monkeypatch):
+    scanned = []
+    real = tensor._all_finite
+    monkeypatch.setattr(tensor, "_all_finite", lambda a: scanned.append(a.shape) or real(a))
+    tape = Tape(record=record)
+    w = parameter(np.full((3, 2), 0.5))
+    w.verified = True
+    x = constant(np.ones((1, 3)))
+    y = tape.matmul(x, w)
+    tape.tanh(tape.matmul(x, w))
+    # x once on first read, then each output as it is born; w never
+    assert scanned == [(1, 3), (1, 2), (1, 2), (1, 2)]
+    with pytest.raises(TapeError, match="^tanh: non-finite input value$"):
+        tape.tanh(constant([[np.nan]]))
+    y.data[0, 0] = np.nan  # an output is not checked again by its own tape ...
+    with pytest.raises(TapeError, match="^scalar-multiply: produced a non-finite output$"):
+        tape.scale(y, 2.0)
+    with pytest.raises(TapeError, match="^scalar-multiply: non-finite input value$"):
+        Tape(record=record).scale(y, 2.0)  # ... but by any other tape
+    w.data[0, 0] = np.nan  # bypassing every writer: the first output it reaches is caught
+    with pytest.raises(TapeError, match="^matmul: produced a non-finite output$"):
+        Tape(record=record).matmul(x, w)
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_tape_checks_survive_freed_tensors(record):
+    # a non-recording tape holds no output, so their ids are reused at once
+    tape = Tape(record=record)
+    for _ in range(50):
+        tape.tanh(tape.add(constant([[1.0], [2.0]]), constant([[0.5], [0.5]])))
+    with pytest.raises(TapeError, match="non-finite input value"):
+        tape.slice_rows(constant([[1.0], [np.inf]]), 0, 1)
+
+
+def test_non_recording_tape_keeps_no_entries_and_rejects_backward():
+    x = parameter([[0.5, -0.25]])
+    record, skip = Tape(), Tape(record=False)
+    a, b = (tape.sum(tape.tanh(tape.mul(x, x))) for tape in (record, skip))
+    assert np.array_equal(a.data, b.data) and b.data.dtype == np.float64
+    assert len(record.entries) == 3 and skip.entries == []
+    with pytest.raises(TapeError, match="record=False"):
+        backward(b, skip)
+
+
 def test_log_of_zero_rejected_as_non_finite_output():
     tape = Tape()
     with pytest.raises(TapeError):

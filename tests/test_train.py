@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unansqgen import tensor
 from unansqgen import train as train_module
 from unansqgen.data import AlignedPair
 from unansqgen.model import (DropStream, ModelParams, decode_step, encode_input,
                              final_distribution, init_decoder)
-from unansqgen.tensor import Tape, Tensor, backward
+from unansqgen.tensor import Tape, TapeError, Tensor, backward
 from unansqgen.text import BOS_ID, EOS, Vocab
 from unansqgen.train import (
     AdagradState,
@@ -517,6 +519,29 @@ def test_adagrad_equals_formula_bit_for_bit(block, monkeypatch):
             np.testing.assert_array_equal(params_a[n].data, params_b[n].data)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=4),
+       st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+       st.one_of(st.none(), st.just(math.inf), st.floats(min_value=-1e3, max_value=1e300)),
+       st.integers(min_value=1, max_value=3))
+def test_adagrad_leaves_verified_only_finite_parameters(rows, lr, clip, steps):
+    # extreme finite parameters and gradients; every step applies (no gradient is non-finite)
+    w = Tensor(np.array([[p for p, _ in rows]]))
+    w.verified = True
+    params, grads = {"w": w}, {"w": np.array([[g for _, g in rows]])}
+    state = AdagradState(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            assert adagrad_step(params, grads, state, lr=lr, clip=clip)
+    if lr <= 1.0 and (clip is None or clip >= 0):  # the bound the step relies on holds
+        assert w.verified
+    if w.verified:
+        assert np.isfinite(w.data).all()
+
+
 # perplexity
 
 
@@ -546,6 +571,45 @@ def test_perplexity_deterministic_and_rejects_empty():
     assert perplexity(params, pairs, vocab) == perplexity(params, pairs, vocab)
     with pytest.raises(TrainingError):
         perplexity(params, [], vocab)
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_perplexity_on_non_recording_tapes_is_bit_identical(mode, monkeypatch):
+    vocab = toy_vocab()
+    params = small_params(mode)
+    pairs = [  # qq and rr are out of vocabulary, and copied
+        make_pair(["aa", "qq", "bb"], 0, 1, ["cc", "qq"], ["qq", "dd"], k=0),
+        make_pair(["cc", "dd", "ee", "rr"], 1, 3, ["aa", "rr"], ["ee", "rr", "ff"], k=1),
+    ]
+    made = []
+    monkeypatch.setattr(train_module, "Tape",
+                        lambda record: made.append(Tape(record=record)) or made[-1])
+    skipped = perplexity(params, pairs, vocab)
+    monkeypatch.setattr(train_module, "Tape", lambda record: made.append(Tape()) or made[-1])
+    assert perplexity(params, pairs, vocab) == skipped
+    assert [(t.record, bool(t.entries)) for t in made] == [(False, False)] * 2 + [(True, True)] * 2
+
+
+def _poisoned(params, name, vocab):
+    """Write a NaN straight into a verified parameter that the toy pairs read."""
+    t = params[name]
+    assert t.verified
+    t.data[(vocab.id("aa"), 0) if name == "word_emb" else (1, 2)] = np.nan
+    return params
+
+
+@pytest.mark.parametrize("name,kind", [("word_emb", "embedding-lookup"), ("out_W", "matmul")])
+def test_non_finite_parameter_past_every_writer_is_one_error(name, kind):
+    # a verified array is not scanned on read: the output check of the first
+    # primitive that reads the NaN catches it
+    vocab = toy_vocab()
+    pairs = [make_pair(["aa", "bb", "cc"], 0, 1, ["dd", "aa"], ["dd", "bb"])]
+    with pytest.raises(TapeError, match=f"^{kind}: produced a non-finite output$"):
+        perplexity(_poisoned(small_params(), name, vocab), pairs, vocab)
+    config = TrainConfig(epochs=1, batch_size=1, word_dim=6, enc_hidden=3)
+    with pytest.raises(TrainingError,
+                       match=f"^epoch 1 batch 0: {kind}: produced a non-finite output$"):
+        train(config, pairs, pairs, vocab, params=_poisoned(small_params(), name, vocab))
 
 
 # batching
