@@ -11,17 +11,16 @@ from . import text
 from .fileio import atomic_write, open_text
 from .model import (DecoderState, decode_step, encode_input, final_distribution,
                     gold_probability, init_decoder)
-from .tensor import Tape, Tensor
+from .tensor import Tape
 
 BEAM_SIZE, MAX_LEN = 5, 50  # defaults: beam width, decoder steps per generation
 
 
 @dataclass
 class BeamHypothesis:
-    """One partial or finished decode. `tokens` are surface forms; a
-    finished hypothesis ends with the EOS surface. `state` is the row (a
-    column of the state's arrays), in the decoder state returned by the beam
-    step that made this hypothesis, that it continues from (its parent's)."""
+    """One partial or finished decode. `tokens` are surface forms; a finished
+    hypothesis ends with the EOS surface. `state` is its parent's row in the
+    decoder state returned by the beam step that made it."""
     tokens: list
     score: float
     state: object
@@ -54,8 +53,7 @@ def _top_k(flat, k):
 
 def _gather_rows(tape, state, rows):
     """The decoder state whose row i is row `rows[i]` of `state`."""
-    pick = Tensor(np.eye(state.hidden.shape[1])[:, rows])
-    hidden, cell, *contexts = (tape.matmul(t, pick)
+    hidden, cell, *contexts = (tape.embedding(t, rows)
                                for t in [state.hidden, state.cell, *state.contexts])
     return DecoderState(hidden, cell, contexts)
 

@@ -8,12 +8,12 @@ checkpoint format stay agnostic of the architecture.
 
 Each LSTM has one input weight, one recurrent weight and one bias, with
 gate-major columns, and steps `_lstm_cell` over [4H x rows] gate
-pre-activations in the row blocks i, f, o, c. States are columns because the
-tape can split rows (`slice_rows`) but not columns. The BiLSTM runs both
-directions as one recurrence over a [2H x 1] state: step t reads position t
-forward and position n-1-t backward, with gate columns [i_fw i_bw f_fw f_bw
-o_fw o_bw c_fw c_bw]. The decoder's recurrent weight reads [contexts;
-hidden], and its [S x rows] state holds one column per beam row.
+pre-activations in the row blocks i, f, o, c. Every state is [rows x H] and
+moves by row gathers and row slices. The BiLSTM runs both directions as one
+recurrence over a [1 x 2H] state: step t reads position t forward and
+position n-1-t backward, with gate columns [i_fw i_bw f_fw f_bw o_fw o_bw
+c_fw c_bw]. The decoder's recurrent weight reads [contexts, hidden], and its
+[rows x S] state holds one row per beam row.
 `encode_input` records the attention and copy keys and builds the copy map
 once per input; decoder steps, beam search's `final_distribution` and the
 taped `gold_probability` of training and scoring all read that record.
@@ -267,12 +267,13 @@ def load_pretrained_vectors(path, vocab, params):
 
 
 def _lstm_cell(tape, pre, c_prev):
-    """(hidden, cell) after one LSTM step, from [4H x rows] gate
-    pre-activations in the row blocks i, f, o, c and the [H x rows] cell."""
+    """[rows x H] (hidden, cell) after one LSTM step, from the [rows x H] cell
+    and [4H x rows] gate pre-activations in the row blocks i, f, o, c, each
+    read as a transposed row slice; the sigmoid's c block goes unread."""
     h = pre.shape[0] // 4
-    sig = tape.sigmoid(tape.slice_rows(pre, 0, 3 * h))
-    cand = tape.tanh(tape.slice_rows(pre, 3 * h, 4 * h))
-    i, f, o = (tape.slice_rows(sig, k * h, (k + 1) * h) for k in range(3))
+    sig = tape.sigmoid(pre)
+    i, f, o = (tape.slice_rows(sig, k * h, (k + 1) * h, transpose=True) for k in range(3))
+    cand = tape.tanh(tape.slice_rows(pre, 3 * h, 4 * h, transpose=True))
     c = tape.add(tape.mul(f, c_prev), tape.mul(i, cand))
     return tape.mul(o, tape.tanh(c)), c
 
@@ -288,31 +289,33 @@ def _bilstm_cell(tape, params):
 
 
 def _run_bilstm(tape, cell, emb):
-    """Per-position [forward; backward] states plus the last step's [2H x 1]
-    state, which is each direction's final state.
+    """Per-position [forward, backward] [n x 2H] states plus the last step's
+    state as a [2H x 1] column, which is each direction's final state.
 
     Both directions step together, as the module docstring lays out. The
     input side, bias included, is projected once per sequence, its backward
-    columns from the projection's row reversal, and a step picks its row
-    with a one-hot matmul. The step states become [n x 2H] rows.
+    columns from the projection's row reversal; step t reads its row t. The
+    backward halves of the states come from the step states' row reversal.
     """
     w_x, recurrent, bias, (fw_cols, bw_cols) = cell
     n, two_h = emb.shape[0], recurrent.shape[0]
-    eye = np.eye(n)
+    reverse = range(n - 1, -1, -1)
     xw = tape.matmul(emb, w_x)
     proj = tape.add(tape.add(tape.mul(xw, fw_cols),
-                             tape.mul(tape.matmul(Tensor(eye[::-1]), xw), bw_cols)), bias)
-    h = c = Tensor(np.zeros((two_h, 1)))
+                             tape.mul(tape.embedding(xw, reverse), bw_cols)), bias)
+    h = c = Tensor(np.zeros((1, two_h)))
     hs = []
     for t in range(n):
-        pre = tape.add(tape.matmul(proj, Tensor(eye[:, t:t + 1]), transpose_a=True),
-                       tape.matmul(recurrent, h, transpose_a=True))
+        pre = tape.slice_rows(proj, t, t + 1, transpose=True)
+        if t:  # the zero initial state adds nothing
+            pre = tape.add(pre, tape.matmul(recurrent, h, transpose_a=True, transpose_b=True))
         h, c = _lstm_cell(tape, pre, c)
         hs.append(h)
-    pick = np.eye(two_h)
-    fw = tape.matmul(tape.concat_cols(hs), Tensor(pick[:, :two_h // 2]), transpose_a=True)
-    bw = tape.matmul(tape.concat_cols(hs[::-1]), Tensor(pick[:, two_h // 2:]), transpose_a=True)
-    return tape.concat_cols([fw, bw]), h
+    fw_half = np.repeat([[1.0, 0.0]], two_h // 2, axis=1)
+    steps = tape.stack_rows(hs)
+    states = tape.add(tape.mul(steps, Tensor(fw_half)),
+                      tape.mul(tape.embedding(steps, reverse), Tensor(1.0 - fw_half)))
+    return states, tape.slice_rows(h, 0, 1, transpose=True)
 
 
 def embed_inputs(tape, params, token_ids, char_id_lists, type_ids):
@@ -397,9 +400,8 @@ def encode_input(tape, params, vocab, paragraph_tokens, answer_start, answer_end
         emb = _maybe_drop(tape, embed_inputs(tape, params, ids, chars, types), drops)
         states, final = _run_bilstm(tape, _bilstm_cell(tape, params), emb)
         states = _maybe_drop(tape, states, drops)
-        np_ = len(paragraph_tokens)  # copy candidates skip the separator
-        copy_states = tape.stack_rows([tape.slice_rows(states, 0, np_),
-                                       tape.slice_rows(states, np_ + 1, states.shape[0])])
+        sep = len(paragraph_tokens)  # copy candidates skip the separator
+        copy_states = tape.embedding(states, [i for i in range(len(ids)) if i != sep])
         attn_states, copy_tokens = [states], list(paragraph_tokens) + list(question_tokens)
     else:
         emb_p = _maybe_drop(tape, embed_inputs(tape, params, p_ids, p_chars, p_types), drops)
@@ -437,7 +439,7 @@ def interact(tape, params, states_p, states_q):
 
 @dataclass
 class DecoderState:
-    """The decoder recurrence, one column per row: each tensor is [S x rows]."""
+    """The decoder recurrence, one row per beam row: each tensor is [rows x S]."""
     hidden: Tensor
     cell: Tensor
     contexts: list
@@ -453,14 +455,14 @@ class DecoderStepOutput:
 
 def init_decoder(tape, params, enc):
     """Initial one-row decoder state from the (question) encoder's final state."""
-    hidden = tape.tanh(tape.add(tape.matmul(params["init_W"], enc.final, transpose_a=True),
-                                params["init_b"]))
-    zero = Tensor(np.zeros((params.state_size, 1)))
+    pre = tape.add(tape.matmul(params["init_W"], enc.final, transpose_a=True), params["init_b"])
+    zero = Tensor(np.zeros((1, params.state_size)))
+    hidden = tape.tanh(tape.slice_rows(pre, 0, params.state_size, transpose=True))
     return DecoderState(hidden, zero, [zero] * params.n_contexts)
 
 
-def _cols(tape, tensors):
-    return tensors[0] if len(tensors) == 1 else tape.concat_cols(tensors)
+def _rows(tape, tensors):
+    return tensors[0] if len(tensors) == 1 else tape.stack_rows(tensors)
 
 
 def decode_step(tape, params, enc, state, prev_ids, drops=None):
@@ -476,33 +478,31 @@ def decode_step(tape, params, enc, state, prev_ids, drops=None):
     t of row r; the state is the last step's.
     """
     ids = [prev_ids] if np.ndim(prev_ids) == 0 else list(prev_ids)
-    rows = state.hidden.shape[1]
-    steps, rest = divmod(len(ids), rows)
-    if rest or not steps:
+    rows = state.hidden.shape[0]
+    if not ids or len(ids) % rows:
         raise TapeError(f"decode_step: {len(ids)} previous ids for {rows} state rows")
     w_word, w_state, bias = params["dec_Wx"], params["dec_Wh"], params["dec_b"]
     words = tape.add(tape.matmul(tape.embedding(params["word_emb"], ids), w_word), bias)
     hidden, cell, contexts = state.hidden, state.cell, state.contexts
     hiddens, out_hiddens, step_contexts = [], [], []
-    for pick in np.hsplit(np.eye(len(ids)), steps):  # step t's rows of `words`, as columns
-        pre = tape.add(tape.matmul(words, Tensor(pick), transpose_a=True),
-                       tape.matmul(w_state, tape.stack_rows(contexts + [hidden]), transpose_a=True))
+    for at in range(0, len(ids), rows):  # one step's rows of `words`, as columns
+        pre = tape.add(tape.slice_rows(words, at, at + rows, transpose=True),
+                       tape.matmul(w_state, tape.concat_cols(contexts + [hidden]),
+                                   transpose_a=True, transpose_b=True))
         hidden, cell = _lstm_cell(tape, pre, cell)
         contexts = []
         for states, key in zip(enc.attn_states, enc.attn_keys):
-            gamma = tape.row_softmax(tape.matmul(hidden, key, transpose_a=True, transpose_b=True))
-            contexts.append(tape.matmul(states, gamma, transpose_a=True, transpose_b=True))
+            gamma = tape.row_softmax(tape.matmul(hidden, key, transpose_b=True))
+            contexts.append(tape.matmul(gamma, states))
         hiddens.append(hidden)
         out_hiddens.append(_maybe_drop(tape, hidden, drops))
         step_contexts.append(contexts)
-    features = tape.stack_rows([_cols(tape, out_hiddens)]
-                               + [_cols(tape, c) for c in zip(*step_contexts)])
-    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"], transpose_a=True),
-                                        params["out_b"]))
-    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"], transpose_a=True),
-                                 params["gate_b"]))
-    copy_attn = tape.row_softmax(tape.matmul(_cols(tape, hiddens), enc.copy_keys,
-                                             transpose_a=True, transpose_b=True))
+    features = tape.concat_cols([_rows(tape, out_hiddens)]
+                                + [_rows(tape, c) for c in zip(*step_contexts)])
+    p_vocab = tape.row_softmax(tape.add(tape.matmul(features, params["out_W"]), params["out_b"]))
+    gate = tape.sigmoid(tape.add(tape.matmul(features, params["gate_W"]), params["gate_b"]))
+    copy_attn = tape.row_softmax(tape.matmul(_rows(tape, hiddens), enc.copy_keys,
+                                             transpose_b=True))
     return DecoderStepOutput(DecoderState(hidden, cell, contexts), gate, p_vocab, copy_attn)
 
 

@@ -271,7 +271,8 @@ def _fw_slice_rows(arrays, meta):
     start, stop = meta["start"], meta["stop"]
     if x.ndim != 2 or not 0 <= start < stop <= x.shape[0]:
         raise TapeError(f"slice-rows: rows [{start}:{stop}] invalid for shape {x.shape}")
-    return x[start:stop], lambda g: [(slice(start, stop), g)]  # deferred, like a lookup
+    rows, flip = slice(start, stop), meta.get("transpose", False)
+    return (x[rows].T if flip else x[rows]), lambda g: [(rows, g.T if flip else g)]
 
 
 def _fw_sum(arrays, meta):
@@ -398,8 +399,8 @@ class Tape:
     def scale(self, x, factor):
         return self.primitive("scalar-multiply", [x], factor=factor)
 
-    def slice_rows(self, x, start, stop):
-        return self.primitive("slice-rows", [x], start=start, stop=stop)
+    def slice_rows(self, x, start, stop, transpose=False):
+        return self.primitive("slice-rows", [x], start=start, stop=stop, transpose=transpose)
 
     def sum(self, x):
         return self.primitive("sum", [x])

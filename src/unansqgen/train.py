@@ -33,16 +33,17 @@ class TrainConfig:
     pretrained_path: str = None
 
     def validate(self):
-        if self.mode not in MODES:
-            raise TrainingError(f"unknown mode {self.mode!r}")
-        if self.batch_size < 1:
-            raise TrainingError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise TrainingError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise TrainingError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.epochs < 1:
-            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
+        lr, clip, cap = self.learning_rate, self.clip_norm, self.max_target_len
+        for ok, problem in [
+                (self.mode in MODES, f"unknown mode {self.mode!r}"),
+                (self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}"),
+                (0 < lr < math.inf, f"learning_rate must be finite and > 0, got {lr}"),
+                (0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}"),
+                (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
+                (clip is None or 0 < clip < math.inf, f"clip_norm must be finite and > 0, got {clip}"),
+                (cap >= 1, f"max_target_len must be >= 1, got {cap}")]:
+            if not ok:
+                raise TrainingError(problem)
 
 
 def sequence_nll(tape, params, enc, vocab, target_tokens, max_len=TrainConfig.max_target_len,

@@ -144,14 +144,14 @@ def _dense_embedding(arrays, meta):
 
 def _dense_slice_rows(arrays, meta):
     x = arrays[0]
-    start, stop = meta["start"], meta["stop"]
+    start, stop, transpose = meta["start"], meta["stop"], meta.get("transpose", False)
 
     def vjp(g):
         dx = np.zeros_like(x)
-        dx[start:stop] = g
+        dx[start:stop] = g.T if transpose else g
         return [dx]
 
-    return x[start:stop], vjp
+    return (x[start:stop].T if transpose else x[start:stop]), vjp
 
 
 @pytest.fixture

@@ -501,6 +501,25 @@ def test_train_validation_failure_leaves_no_checkpoint(pipeline, tmp_path, capsy
     assert not out.exists() and not (tmp_path / "m.ckpt.json").exists()
 
 
+@pytest.mark.parametrize("option,message", [
+    ("--lr=nan", "learning_rate must be finite and > 0, got nan"),
+    ("--lr=inf", "learning_rate must be finite and > 0, got inf"),
+    ("--clip=-1", "clip_norm must be finite and > 0, got -1.0"),
+    ("--clip=0", "clip_norm must be finite and > 0, got 0.0"),
+    ("--clip=nan", "clip_norm must be finite and > 0, got nan"),
+    ("--max-target-len=0", "max_target_len must be >= 1, got 0"),
+])
+def test_train_rejects_a_setting_that_cannot_train(pipeline, tmp_path, capsys, option, message):
+    out = tmp_path / "m.ckpt"
+    rc = main(["train", "--pairs", pipeline["pairs"], "--holdout", pipeline["holdout"],
+               "--vocab", pipeline["vocab"], "--out", str(out), "--epochs", "1",
+               "--dims-override", "6/3", option])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "m.ckpt.json").exists()
+
+
 def test_train_overflowing_pretrained_row_is_one_error_line(pipeline, tmp_path, capsys):
     # 1.7e308 is finite, but dropout's 1/keep scaling takes it past the float64 range
     token = text.load_vocab(pipeline["vocab"]).id_to_token[len(text.SPECIAL_TOKENS)]

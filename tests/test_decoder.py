@@ -1,4 +1,4 @@
-"""The gate-fused, column-state decoder against the four-matrix reference.
+"""The gate-fused, row-state decoder against the four-matrix reference.
 
 The reference (`conftest._reference_decode` and its helpers, run by the
 `reference_model` fixture) keeps checkpoint version 1's decoder: a [rows x
@@ -85,9 +85,9 @@ def test_beam_rows_equal_single_row_steps(mode):
     for prev in (text.BOS_ID, vocab.id("aa")):
         states.append(decode_step(tape, params, enc, states[-1], prev).state)
     ids = [[text.BOS_ID, 6, 7, 8], [9, 10, text.UNK_ID, 6], [7, 7, 8, 9]]
-    stacked = DecoderState(tape.concat_cols([s.hidden for s in states]),
-                           tape.concat_cols([s.cell for s in states]),
-                           [tape.concat_cols(list(c)) for c in zip(*(s.contexts for s in states))])
+    stacked = DecoderState(tape.stack_rows([s.hidden for s in states]),
+                           tape.stack_rows([s.cell for s in states]),
+                           [tape.stack_rows(list(c)) for c in zip(*(s.contexts for s in states))])
     batch = decode_step(tape, params, enc, stacked, [row[t] for t in range(4) for row in ids])
     for r, (state, row_ids) in enumerate(zip(states, ids)):
         one = decode_step(tape, params, enc, state, row_ids)
@@ -96,13 +96,13 @@ def test_beam_rows_equal_single_row_steps(mode):
             np.testing.assert_allclose(got.data[r::3], want.data, rtol=0, atol=1e-12)
         pairs = [(batch.state.hidden, one.state.hidden), (batch.state.cell, one.state.cell)]
         for got, want in pairs + list(zip(batch.state.contexts, one.state.contexts)):
-            np.testing.assert_allclose(got.data[:, r:r + 1], want.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.data[r:r + 1], want.data, rtol=0, atol=1e-12)
 
 
 def test_teacher_forced_decode_records_fewer_entries_than_the_four_matrix_decoder():
     # 12 pair2seq steps with dropout: the four-matrix decoder recorded 341
     # entries (26 per step plus a 13-entry output layer and 16 more); the
-    # fused one records 23 per step and hoists the word side of the gates
+    # fused one records 22 per step and hoists the word side of the gates
     vocab = toy_vocab()
     params = ModelParams(len(vocab), "pair2seq", word_dim=6, enc_hidden=3)
     tape = Tape()
@@ -131,3 +131,47 @@ def test_one_cell_serves_encoder_and_decoder(monkeypatch):
     train._example_loss(params, vocab, pair, 50)
     h, s = params.enc_hidden, params.state_size
     assert calls == [(8 * h, 1)] * 6 + [(4 * s, 1)] * 4
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_state_moves_read_no_constant_matrix(mode, monkeypatch):
+    # every state moves by a gather or a slice: no matmul recorded by the
+    # encoder, the decoder or the beam's row gather reads a constant (a tensor
+    # that is neither a parameter nor a tape output), and the BiLSTM records
+    # at most 14 entries per further position
+    vocab = toy_vocab()
+    params = ModelParams(len(vocab), mode, word_dim=6, enc_hidden=3, seed=4)
+    spans, bilstm = [], []  # (tape, first entry, end, args) of each watched call
+
+    def watch(fn, log):
+        def run(tape, *args, **kwargs):
+            start = len(tape.entries)
+            out = fn(tape, *args, **kwargs)
+            log.append((tape, start, len(tape.entries), args))
+            return out
+        return run
+
+    for owner in (train, decode):
+        monkeypatch.setattr(owner, "encode_input", watch(encode_input, spans))
+        monkeypatch.setattr(owner, "decode_step", watch(decode_step, spans))
+    monkeypatch.setattr(decode, "_gather_rows", watch(decode._gather_rows, spans))
+    monkeypatch.setattr(model, "_run_bilstm", watch(model._run_bilstm, bilstm))
+
+    for paragraph in (["aa", "xx", "cc"], ["aa", "xx", "cc", "bb", "ee"]):
+        pair = make_pair(paragraph, 1, 2, ["dd", "aa"], ["dd", "xx", "bb"])
+        train._example_loss(params, vocab, pair, 50, drops=DropStream((1, 2), 0.8))
+        tape = Tape()
+        enc = decode.encode_input(tape, params, vocab, paragraph, 1, 2, ["dd", "aa"])
+        assert decode.beam_search(tape, params, enc, vocab, beam_size=3, max_len=4)
+    watched = {e.kind for tape, start, end, _ in spans for e in tape.entries[start:end]}
+    assert "matmul" in watched and "embedding-lookup" in watched
+    for tape, start, end, _ in spans:
+        born = {id(e.output) for e in tape.entries}
+        for e in tape.entries[start:end]:
+            if e.kind == "matmul":
+                assert all(t.requires_grad or id(t) in born for t in e.inputs)
+    sizes = {(args[1].shape[0], end - start) for _, start, end, args in bilstm}
+    counts = dict(sizes)  # positions -> entries, the same at every call
+    assert len(sizes) == len(counts)
+    (n_low, low), (n_high, high) = min(counts.items()), max(counts.items())
+    assert n_high > n_low and high - low <= 14 * (n_high - n_low)

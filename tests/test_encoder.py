@@ -80,7 +80,7 @@ def test_example_loss_matches_per_direction_reference(mode, paragraph_len, quest
 
 @pytest.mark.parametrize("n", [1, 7, 120])
 def test_bilstm_records_at_most_16_entries_per_position(n):
-    # both directions step together: 15 entries per position plus a fixed
+    # both directions step together: 14 entries per position plus a fixed
     # count per sequence; stepping each direction alone records 35 per position
     params = ModelParams(9, "seq2seq", word_dim=6, enc_hidden=3)
     tape = Tape()

@@ -324,7 +324,7 @@ def test_decode_step_matches_numpy_oracle():
     step = decode_step(tape, p, enc, state, BOS_ID)
 
     arr = {name: t.data for name, t in twin.items()}
-    h_prev, c_prev = state.hidden.data.T, np.zeros((1, p.state_size))
+    h_prev, c_prev = state.hidden.data, np.zeros((1, p.state_size))
     x = np.concatenate([arr["word_emb"][[BOS_ID]], np.zeros((1, p.state_size))], axis=1)
     z = np.concatenate([x, h_prev], axis=1)
     gi = np_sigmoid(z @ arr["dec_Wi"] + arr["dec_bi"])
@@ -337,8 +337,8 @@ def test_decode_step_matches_numpy_oracle():
     gamma = np_softmax(h @ (H @ arr["attn_W"]).T)
     ctx = gamma @ H
     features = np.concatenate([h, ctx], axis=1)
-    np.testing.assert_allclose(step.state.hidden.data.T, h, atol=1e-12)
-    np.testing.assert_allclose(step.state.contexts[0].data.T, ctx, atol=1e-12)
+    np.testing.assert_allclose(step.state.hidden.data, h, atol=1e-12)
+    np.testing.assert_allclose(step.state.contexts[0].data, ctx, atol=1e-12)
     np.testing.assert_allclose(
         step.p_vocab.data, np_softmax(features @ arr["out_W"] + arr["out_b"]), atol=1e-12)
     np.testing.assert_allclose(
@@ -379,9 +379,9 @@ def test_row_batched_step_equals_single_row_steps(mode):
     for prev in (BOS_ID, vocab.id("aa"), vocab.id("cc")):
         states.append(decode_step(tape, p, enc, states[-1], prev).state)
     ids = [vocab.id("bb"), BOS_ID, vocab.id("dd"), vocab.id("aa")]
-    stacked = DecoderState(tape.concat_cols([s.hidden for s in states]),
-                           tape.concat_cols([s.cell for s in states]),
-                           [tape.concat_cols(list(c)) for c in zip(*(s.contexts for s in states))])
+    stacked = DecoderState(tape.stack_rows([s.hidden for s in states]),
+                           tape.stack_rows([s.cell for s in states]),
+                           [tape.stack_rows(list(c)) for c in zip(*(s.contexts for s in states))])
     batch = decode_step(tape, p, enc, stacked, ids)
     dists, _ = final_distribution(batch, enc, vocab)
     assert dists.shape == (4, len(vocab) + 1)
@@ -392,9 +392,9 @@ def test_row_batched_step_equals_single_row_steps(mode):
             np.testing.assert_allclose(got.data[r], want.data[0], rtol=0, atol=1e-12)
         for got, want in [(batch.state.hidden, one.state.hidden),
                           (batch.state.cell, one.state.cell)]:
-            np.testing.assert_allclose(got.data.T[r], want.data.T[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.data[r], want.data[0], rtol=0, atol=1e-12)
         for got, want in zip(batch.state.contexts, one.state.contexts):
-            np.testing.assert_allclose(got.data.T[r], want.data.T[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.data[r], want.data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(dists[r], final_distribution(one, enc, vocab)[0],
                                    rtol=0, atol=1e-12)
     with pytest.raises(TapeError):
@@ -454,8 +454,8 @@ def test_init_decoder_zero_projection_and_determinism():
     p["init_b"].data[:] = 0.0
     tape, enc = encode_example(p, vocab, Tape())
     state = init_decoder(tape, p, enc)
-    np.testing.assert_array_equal(state.hidden.data.T, np.zeros((1, p.state_size)))
-    np.testing.assert_array_equal(state.cell.data.T, np.zeros((1, p.state_size)))
+    np.testing.assert_array_equal(state.hidden.data, np.zeros((1, p.state_size)))
+    np.testing.assert_array_equal(state.cell.data, np.zeros((1, p.state_size)))
     assert all(np.all(c.data == 0) for c in state.contexts)
 
     p2 = small_params("pair2seq")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from unansqgen import tensor
@@ -462,6 +462,75 @@ def test_deferred_slices_of_a_leaf(dense_vjps):
     assert [len(p) for p in leaf_pieces[w]] == [3]  # the matmul piece only
     got = tensor.sum_gradients(leaf_pieces, dense)
     assert np.max(np.abs(got[w] - grads[w])) <= 1e-12 * np.max(np.abs(grads[w]))
+
+
+@st.composite
+def _row_moves(draw):
+    """(rows, cols, moves): each move reads the leaf or the non-leaf through
+    row slices, all plain or all transposed (several tiling it, or one), or
+    through a gather whose ids may repeat."""
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    moves = []
+    for _ in range(draw(st.integers(1, 5))):
+        source = draw(st.sampled_from(["leaf", "inner"]))
+        kind = draw(st.sampled_from(["slice", "tiles", "gather"]))
+        if kind == "gather":
+            moves.append((source, "gather", draw(st.lists(st.integers(0, rows - 1),
+                                                         min_size=1, max_size=6))))
+            continue
+        if kind == "tiles":
+            cuts = [0] + sorted(draw(st.sets(st.integers(1, rows - 1)))) + [rows]
+        else:
+            start = draw(st.integers(0, rows - 1))
+            cuts = [start, draw(st.integers(start + 1, rows))]
+        moves.append((source, draw(st.booleans()), list(zip(cuts, cuts[1:]))))
+    return rows, cols, moves
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_row_moves())
+def test_slice_and_gather_pieces_match_dense_vjps(dense_vjps, program):
+    # plain and transposed slices, overlapping or tiling, and gathers with
+    # repeated ids, of a leaf and of a non-leaf; the leaf's pieces are also
+    # carried across two tapes, as a batch carries them
+    rows, cols, moves = program
+    rng = np.random.default_rng(rows * 10 + cols)
+    w = parameter(rng.uniform(-1, 1, (rows, cols)), name="w")
+    x = constant(rng.uniform(-1, 1, (rows, rows)))
+
+    def build(seed):
+        probes = np.random.default_rng(seed)
+        tape = Tape()
+        inner = tape.tanh(tape.matmul(x, w))
+        loss = tape.sum(tape.mul(inner, constant(probes.uniform(-1, 1, inner.shape))))
+        for source, how, spans in moves:
+            src = w if source == "leaf" else inner
+            if how == "gather":
+                reads = [tape.embedding(src, spans)]
+            else:
+                reads = [tape.slice_rows(src, a, b, transpose=how) for a, b in spans]
+            for r in reads:
+                probe = constant(probes.uniform(-1, 1, r.shape))
+                loss = tape.add(loss, tape.sum(tape.mul(tape.tanh(r), probe)))
+        return loss, tape
+
+    def grads_of(tapes, pieces=None):
+        total = {}
+        for loss, tape in tapes:
+            for t, g in backward(loss, tape, pieces).items():
+                total[t] = total[t] + g if t in total else g
+        return total
+
+    for seeds in ([1], [1, 2]):
+        want = dense_vjps(lambda: grads_of([build(s) for s in seeds]))
+        leaf_pieces = {}
+        got = tensor.sum_gradients(leaf_pieces, grads_of([build(s) for s in seeds], leaf_pieces))
+        for grads in (got, grads_of([build(s) for s in seeds])):
+            assert set(grads) == set(want) == {w}
+            assert np.max(np.abs(grads[w] - want[w])) <= 1e-12 * np.max(np.abs(want[w]))
+    loss, _ = build(1)
+    assert float(loss.data) == dense_vjps(lambda: float(build(1)[0].data))
 
 
 def test_untracked_b_piece_is_dropped_unbuilt(dense_vjps, monkeypatch):

@@ -52,6 +52,13 @@ def make_pair(paragraph, start, end, question, target, k=0):
     {"dropout": 1.0},
     {"dropout": -0.1},
     {"epochs": 0},
+    {"learning_rate": math.nan},
+    {"learning_rate": math.inf},
+    {"clip_norm": 0.0},
+    {"clip_norm": -1.0},
+    {"clip_norm": math.nan},
+    {"clip_norm": math.inf},
+    {"max_target_len": 0},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(TrainingError):
@@ -59,6 +66,7 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_config_defaults_are_valid():
+    TrainConfig(clip_norm=None, max_target_len=1).validate()  # None: no clipping
     cfg = TrainConfig()
     cfg.validate()
     assert (cfg.batch_size, cfg.learning_rate, cfg.dropout) == (32, 0.15, 0.2)
