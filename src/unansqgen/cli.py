@@ -149,6 +149,12 @@ def cmd_train(args):
                          pretrained_path=args.pretrained)
     if dims is not None:
         config.word_dim, config.enc_hidden = dims
+    try:
+        config.validate()
+    except TrainingError as exc:  # name the flag typed, not the TrainConfig field
+        field, _, rest = str(exc).partition(" ")
+        flag = {"learning_rate": "lr", "clip_norm": "clip"}.get(field, field).replace("_", "-")
+        raise CliError(f"--{flag} {rest}") from None
     params, history = train(config, pairs, holdout, vocab, log=print)
     params.save(args.out, extra={"vocab_size": len(vocab),
                                  "train_config": asdict(config)})

@@ -506,12 +506,6 @@ def decode_step(tape, params, enc, state, prev_ids, drops=None):
     return DecoderStepOutput(DecoderState(hidden, cell, contexts), gate, p_vocab, copy_attn)
 
 
-def extended_vocab(enc, vocab):
-    """(extra surface forms, per-copy-position extended id): the copy map
-    `encode_input` built for `enc` from `vocab` (see `EncodedInput`)."""
-    return enc.extra, enc.copy_ids
-
-
 def final_distribution(step, enc, vocab):
     """Mixture distribution over the vocabulary plus this input's extra tokens.
 

@@ -55,7 +55,7 @@ _FLOAT64 = np.dtype(np.float64)
 class Tensor:
     """Dense float64 array.
 
-    `data` is a shaped numpy array; `values` exposes the row-major flat view.
+    `data` is a shaped numpy array.
     `backward` returns gradients for the leaf tensors created with
     requires_grad=True; tensors produced by tape primitives track gradient
     flow automatically. `verified` tells every tape that `data` is finite and
@@ -78,17 +78,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def values(self):
-        return self.data.ravel()
-
     def __repr__(self):
         label = f" name={self.name!r}" if self.name else ""
         return f"<Tensor shape={self.data.shape}{label} requires_grad={self.requires_grad}>"
-
-
-def constant(data, name=None):
-    return Tensor(data, requires_grad=False, name=name)
 
 
 def parameter(data, name=None):

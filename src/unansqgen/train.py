@@ -83,36 +83,59 @@ class AdagradState:
 _BLOCK = 1 << 16  # elements per slice of an Adagrad update
 
 
-def adagrad_step(params, grads, state, lr, clip):
-    """One Adagrad update from batch-averaged gradients.
+def _blocks(g, ids):
+    """Indexes of about `_BLOCK` elements: slices of `g.reshape(-1)`, or blocks of rows `ids`."""
+    if ids is None:
+        return (slice(lo, lo + _BLOCK) for lo in range(0, g.size, _BLOCK))
+    per = max(1, _BLOCK * len(g) // g.size)
+    return (ids[lo:lo + per] for lo in range(0, len(ids), per))
+
+
+def adagrad_step(params, grads, state, lr, clip, rows=None):
+    """One Adagrad update from batch-averaged gradients; returns whether it applied.
 
     The global gradient norm is clipped to `clip` first, then each
     accumulator grows by g^2 and the parameter moves by lr * g / sqrt(acc).
-    A non-finite gradient skips the whole step (counted). Returns whether
-    the step was applied.
-
-    The update runs over each tensor in slices of about `_BLOCK` elements,
-    so its temporaries stay small; every operation is elementwise, so the
-    slicing does not change a bit. The gradient arrays are not modified.
+    A non-finite gradient skips the whole step (counted). `rows` may map a
+    table's name to the sorted unique rows off which its gradient is +0.0;
+    only those are read and updated, which is exact. Each pass runs over
+    blocks of about `_BLOCK` elements in two reused buffers, so the step
+    allocates only block-sized temporaries. The squared norm adds each
+    block's pairwise numpy sum to a running total, in `grads` and block
+    order, with no BLAS call, so its bits do not depend on the BLAS thread
+    count; a block is scanned only if the total is not finite. The update
+    is elementwise, so blocks keep its bits; `grads` is unchanged.
     """
-    if any(not np.isfinite(g).all() for g in grads.values()):
-        state.skipped += 1
-        return False
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    scale = clip / norm if clip is not None and norm > clip else 1.0
+    parts = [(name, g, (rows or {}).get(name)) for name, g in grads.items()]
+    squares = 0.0
+    buf = np.empty((2, max([_BLOCK] + [g[0].size for _, g, ids in parts if ids is not None])))
+    for _, g, ids in parts:
+        for at in _blocks(g, ids):
+            block = (g if ids is not None else g.reshape(-1))[at].reshape(-1)
+            squares += float(np.multiply(block, block, out=buf[0, :block.size]).sum())
+            if not math.isfinite(squares) and not np.isfinite(block).all():
+                state.skipped += 1  # nothing is written yet
+                return False
+    norm = math.sqrt(squares)
+    scale = clip / norm if clip is not None and norm > max(clip, 0.0) else 1.0  # 0 norm: no move
     # A verified parameter stays so without a scan: with g finite and
     # acc >= 0.1 + g^2, each coordinate moves by |lr * g / sqrt(acc)| < lr.
     # With lr <= 1 and |scale| <= 1, lr * g is finite, and a move below 1
     # cannot carry a finite parameter past float64's largest value.
     bounded = lr <= 1.0 and abs(scale) <= 1.0
-    for name, g in grads.items():
-        params[name].verified = params[name].verified and bounded
-        rows = max(1, _BLOCK * len(g) // max(1, g.size))
-        for lo in range(0, len(g), rows):
-            g_block = g[lo:lo + rows] * scale
-            acc = state.acc[name][lo:lo + rows]
-            acc += g_block * g_block
-            params[name].data[lo:lo + rows] -= lr * g_block / np.sqrt(acc)
+    for name, g, ids in parts:
+        p = params[name]
+        p.verified = p.verified and bounded
+        p.data = np.ascontiguousarray(p.data)  # so that its flat view writes through
+        view, data, acc = (a.reshape(-1) if ids is None else a for a in (g, p.data, state.acc[name]))
+        for at in _blocks(g, ids):
+            g_block, acc_block = view[at], acc[at]  # views, or copies of rows `ids`
+            step, sq = (b[:g_block.size].reshape(g_block.shape) for b in buf)
+            g_block = g_block if scale == 1.0 else np.multiply(g_block, scale, out=step)
+            acc_block += np.multiply(g_block, g_block, out=sq)
+            data[at] -= np.divide(np.multiply(lr, g_block, out=step), np.sqrt(acc_block, out=sq),
+                                  out=step)
+            acc[at] = acc_block  # a copy for rows `ids`; a view writes onto itself
     return True
 
 
@@ -218,7 +241,12 @@ def train(config, train_pairs, holdout_pairs, vocab, params=None, log=None):
             grads = {name: summed[t] for name, t in params.items() if t in summed}
             for g in grads.values():
                 g /= len(batch)
-            adagrad_step(params, grads, opt, config.learning_rate, config.clip_norm)
+            # a table reached only through lookups has a +0.0 gradient off the rows looked up
+            # (sorted unique by bincount: np.unique would import numpy.ma, 1.6 MB of RSS)
+            rows = {t.name: np.flatnonzero(np.bincount(np.concatenate([p[0] for p in found])))
+                    for t, found in leaf_pieces.items()
+                    if t not in dense and {len(p) for p in found} == {2}}
+            adagrad_step(params, grads, opt, config.learning_rate, config.clip_norm, rows)
         ppl = perplexity(params, holdout_pairs, vocab, config.max_target_len)
         entry = {
             "epoch": epoch,

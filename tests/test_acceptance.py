@@ -23,7 +23,6 @@ from unansqgen.model import (
     ModelParams,
     decode_step,
     encode_input,
-    extended_vocab,
     final_distribution,
     init_decoder,
 )
@@ -125,7 +124,7 @@ def test_criterion_3_beam_oracle():
         enc = encode_input(tape, params, vocab, ["aa", "zz", "bb"], 1, 2, ["cc", "aa"])
         max_len = 3
         finished = enumerate_finished(tape, params, enc, vocab, max_len)
-        width = len(vocab) + len(extended_vocab(enc, vocab)[0])
+        width = len(vocab) + len(enc.extra)
         full = (width - 1) * (width - 2) ** (max_len - 1)
         hyps = beam_search(tape, params, enc, vocab, beam_size=full, max_len=max_len)
         got = sorted((round(h.score, 9), tuple(h.surface())) for h in hyps)

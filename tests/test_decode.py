@@ -23,7 +23,6 @@ from unansqgen.model import (
     ModelParams,
     decode_step,
     encode_input,
-    extended_vocab,
     final_distribution,
     init_decoder,
 )
@@ -47,7 +46,7 @@ def enumerate_finished(tape, params, enc, vocab, max_len):
     Independent route: teacher-forced probabilities read off the final
     mixture, UNK excluded, recursion over all candidate indices.
     """
-    extra = extended_vocab(enc, vocab)[0]
+    extra = enc.extra
     width = len(vocab) + len(extra)
     results = []
 
@@ -78,7 +77,7 @@ def test_beam_full_width_matches_enumeration(mode, seed):
     max_len = 3
     oracle = enumerate_finished(tape, params, enc, vocab, max_len)
     assert oracle, "toy model must be able to finish within max_len"
-    width = len(vocab) + len(extended_vocab(enc, vocab)[0])
+    width = len(vocab) + len(enc.extra)
     # the last step fans out widest: every surviving parent offers width - 1
     # finite candidates (UNK excluded), parents branch by width - 2 (EOS retires)
     full = (width - 1) * (width - 2) ** (max_len - 1)
@@ -96,7 +95,7 @@ def serial_beam_search(tape, params, enc, vocab, beam_size, max_len):
     """Reference: the per-hypothesis beam loop, one single-row decoder step
     and one full stable sort per step, each hypothesis carrying its own
     decoder state."""
-    extended = extended_vocab(enc, vocab)[0]
+    extended = enc.extra
     width = len(vocab) + len(extended)
     beams = [BeamHypothesis([], 0.0, init_decoder(tape, params, enc), text.BOS_ID)]
     finished = []
@@ -136,7 +135,7 @@ def serial_beam_search(tape, params, enc, vocab, beam_size, max_len):
 @pytest.mark.parametrize("seed", [1, 7, 13, 99])
 def test_batched_beam_equals_per_hypothesis_reference(mode, seed):
     tape, params, enc, vocab = toy_setup(mode, seed)
-    width = len(vocab) + len(extended_vocab(enc, vocab)[0])
+    width = len(vocab) + len(enc.extra)
     for beam_size, max_len in ((1, 6), (2, 6), (5, 6), ((width - 1) * (width - 2) ** 2, 3)):
         got = beam_search(tape, params, enc, vocab, beam_size=beam_size, max_len=max_len)
         want = serial_beam_search(tape, params, enc, vocab, beam_size, max_len)
@@ -166,7 +165,7 @@ def reference_greedy(tape, params, enc, vocab, max_len):
     UNK zeroed and ties to the lowest index."""
     state = init_decoder(tape, params, enc)
     prev_id = text.BOS_ID
-    extended = extended_vocab(enc, vocab)[0]
+    extended = enc.extra
     tokens = []
     for _ in range(max_len):
         step = decode_step(tape, params, enc, state, prev_id)
@@ -305,7 +304,7 @@ def test_keys_and_copy_map_are_built_once_per_encoded_input(mode, monkeypatch):
 def reference_score_sequence(tape, params, enc, vocab, surface_tokens, include_eos):
     """Reference: one single-row decoder step per token, log-probabilities
     added in token order."""
-    extra = extended_vocab(enc, vocab)[0]
+    extra = enc.extra
     index = {tok: len(vocab) + k for k, tok in enumerate(extra)}
     state = init_decoder(tape, params, enc)
     prev_id = text.BOS_ID

@@ -21,7 +21,6 @@ from unansqgen.model import (
     decode_step,
     embed_inputs,
     encode_input,
-    extended_vocab,
     final_distribution,
     init_decoder,
     interact,
@@ -404,7 +403,7 @@ def test_row_batched_step_equals_single_row_steps(mode):
 def test_extended_vocab_first_occurrence_order():
     vocab = small_vocab()
     enc = EncodedInput([], [], None, None, ["zz", "aa", "yy", "zz"], None, vocab)
-    extra, targets = extended_vocab(enc, vocab)
+    extra, targets = enc.extra, enc.copy_ids
     assert extra == ["zz", "yy"]
     assert targets == [len(vocab), vocab.id("aa"), len(vocab) + 1, len(vocab)]
 

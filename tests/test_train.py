@@ -1,6 +1,7 @@
 """Training tests: NLL credit assignment, Adagrad arithmetic, the train loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,15 +495,33 @@ def test_adagrad_accumulators_nondecreasing():
             prev[n] = a.copy()
 
 
-def adagrad_step_by_formula(params, grads, state, lr, clip):
-    """The update written with whole-tensor temporaries."""
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def block_order_norm(grads, rows=None):
+    """The clip norm in `adagrad_step`'s documented order: tensors in `grads`
+    order, each in blocks of `_BLOCK` flat elements (or of its `rows`, as
+    many rows as fit), one pairwise numpy sum per block, added in order."""
+    block, squares = train_module._BLOCK, 0.0
+    for name, g in grads.items():
+        ids = (rows or {}).get(name)
+        if ids is None:
+            blocks = [g.ravel()[lo:lo + block] for lo in range(0, g.size, block)]
+        else:
+            per = max(1, block // g.shape[1])
+            blocks = [g[ids[lo:lo + per]].ravel() for lo in range(0, len(ids), per)]
+        for b in blocks:  # each block's sum into the running total, in order
+            squares += float((b * b).sum())
+    return math.sqrt(squares)
+
+
+def adagrad_step_by_formula(params, grads, state, lr, clip, rows=None):
+    """The update written with whole-tensor temporaries; returns the clip norm."""
+    norm = block_order_norm(grads, rows)
     scale = clip / norm if clip is not None and norm > clip else 1.0
     for name, g in grads.items():
         g = g * scale
         acc = state.acc[name]
         acc += g * g
         params[name].data -= lr * g / np.sqrt(acc)
+    return norm
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -518,13 +537,118 @@ def test_adagrad_equals_formula_bit_for_bit(block, monkeypatch):
     for _ in range(2):
         grads = {n: rng.normal(size=shape) for n, shape in shapes.items()}
         before = {n: g.copy() for n, g in grads.items()}
-        assert math.sqrt(sum(float((g * g).sum()) for g in grads.values())) > 5.0
+        whole = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        assert whole > 5.0
         assert adagrad_step(params_a, grads, state_a, lr=0.15, clip=5.0)
-        adagrad_step_by_formula(params_b, grads, state_b, lr=0.15, clip=5.0)
+        norm = adagrad_step_by_formula(params_b, grads, state_b, lr=0.15, clip=5.0)
+        assert abs(norm - whole) <= 1e-13 * whole  # only the summation order moved
         for n in shapes:
             np.testing.assert_array_equal(grads[n], before[n])
             np.testing.assert_array_equal(state_a.acc[n], state_b.acc[n])
             np.testing.assert_array_equal(params_a[n].data, params_b[n].data)
+
+
+def _bytes(params, state):
+    return {n: (t.data.tobytes(), state.acc[n].tobytes()) for n, t in params.items()}
+
+
+@pytest.mark.parametrize("case", ["clip-active", "clip-inactive", "touched-rows"])
+def test_adagrad_step_allocates_only_block_sized_temporaries(case, monkeypatch):
+    monkeypatch.setattr(train_module, "_BLOCK", 512)
+    params = small_params("pair2seq", vocab_size=4000)
+    state = AdagradState(params)
+    rng = np.random.default_rng(3)
+    grads = {n: rng.normal(size=t.data.shape) for n, t in params.items()}
+    rows = {"word_emb": np.arange(5, 4000, 3)} if case == "touched-rows" else None
+    if rows:
+        keep = np.zeros(len(grads["word_emb"]), dtype=bool)
+        keep[rows["word_emb"]] = True
+        grads["word_emb"][~keep] = 0.0
+    clip = 1e9 if case == "clip-inactive" else 5.0
+    largest = max(g.nbytes for g in grads.values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert adagrad_step(params, grads, state, 0.15, clip, *([rows] if rows else []))
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < largest / 4, (grown, largest)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_adagrad_non_finite_gradient_skips_once_and_writes_nothing(bad):
+    params = small_params(vocab_size=50)
+    state = AdagradState(params)
+    rng = np.random.default_rng(4)
+    grads = {n: rng.normal(size=t.data.shape) for n, t in params.items()}
+    last = list(grads)[-1]
+    grads[last].flat[-1] = bad  # only the last tensor's last value
+    before = _bytes(params, state)
+    for clip in (5.0, None):
+        skipped = state.skipped
+        assert not adagrad_step(params, grads, state, lr=0.15, clip=clip)
+        assert state.skipped == skipped + 1
+        assert _bytes(params, state) == before
+
+
+def test_adagrad_finite_gradient_with_overflowing_squares_applies():
+    params_a, params_b = small_params(vocab_size=50), small_params(vocab_size=50)
+    state_a, state_b = AdagradState(params_a), AdagradState(params_b)
+    grads = {n: np.full(t.data.shape, 1e200) for n, t in params_a.items()}
+    grads["out_W"][0, 0] = -1e200  # scaled by 0.0 to -0.0
+    with np.errstate(over="ignore"):
+        assert adagrad_step(params_a, grads, state_a, lr=0.15, clip=5.0)  # scale 5 / inf
+        assert adagrad_step_by_formula(params_b, grads, state_b, lr=0.15, clip=5.0) == math.inf
+    assert state_a.skipped == 0
+    assert _bytes(params_a, state_a) == _bytes(params_b, state_b)
+
+
+@pytest.mark.parametrize("clip", [5.0, None])
+def test_adagrad_touched_rows_equal_the_whole_table_formula(clip, monkeypatch):
+    monkeypatch.setattr(train_module, "_BLOCK", 13)  # two 6-wide rows per block
+    params_a, params_b = small_params(vocab_size=300), small_params(vocab_size=300)
+    rng = np.random.default_rng(5)
+    looked_up = np.array([0, 7, 8, 150, 299])
+    for p in (params_a, params_b):
+        p["word_emb"].data[7, 2] = -0.0  # -0.0 - lr * -0.0 / sqrt(acc) is +0.0
+    grads = {n: rng.normal(size=t.data.shape) for n, t in params_a.items()}
+    table = np.zeros_like(grads["word_emb"])
+    table[looked_up] = grads["word_emb"][looked_up]
+    table[7, 2] = -0.0
+    grads["word_emb"] = table
+    rows = {"word_emb": looked_up}
+    state_a, state_b = AdagradState(params_a), AdagradState(params_b)
+    untouched = np.setdiff1d(np.arange(300), looked_up)
+    before = params_a["word_emb"].data[untouched].tobytes()
+    for _ in range(2):
+        assert adagrad_step(params_a, grads, state_a, 0.15, clip, rows)
+        adagrad_step_by_formula(params_b, grads, state_b, 0.15, clip, rows)
+        assert _bytes(params_a, state_a) == _bytes(params_b, state_b)
+    assert not np.signbit(params_a["word_emb"].data[7, 2])  # the formula's +0.0, as in the table
+    assert params_a["word_emb"].data[untouched].tobytes() == before
+    assert (state_a.acc["word_emb"][untouched] == 0.1).all()
+
+
+@pytest.mark.parametrize("mode", ["seq2seq", "pair2seq"])
+def test_train_hands_the_step_exactly_the_rows_with_gradient_bits(mode, monkeypatch):
+    seen = []
+    real_step = train_module.adagrad_step
+
+    def capture(params, grads, state, lr, clip, rows):
+        seen.append(({n: g.copy() for n, g in grads.items()}, rows))
+        return real_step(params, grads, state, lr, clip, rows)
+
+    monkeypatch.setattr(train_module, "adagrad_step", capture)
+    config = TrainConfig(mode=mode, epochs=1, batch_size=len(UNEVEN_PAIRS), dropout=0.2,
+                         max_target_len=6, word_dim=6, enc_hidden=3, seed=13)
+    train(config, UNEVEN_PAIRS, UNEVEN_PAIRS[:1], toy_vocab(), params=small_params(mode))
+    ((grads, rows),) = seen
+    assert "word_emb" in rows and "out_W" not in rows
+    for name, ids in rows.items():
+        bits = grads[name].view(np.int64) != 0
+        np.testing.assert_array_equal(ids, np.flatnonzero(bits.any(axis=1)), err_msg=name)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
